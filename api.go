@@ -245,8 +245,9 @@ type SweepOptions = sweep.Options
 type SweepMetrics = sweep.Metrics
 
 // SweepEngine shards grid sweeps over a worker pool with a memoization
-// cache of cyclic steady states; results are byte-identical to the
-// sequential sweep in any configuration.
+// cache of cyclic steady states; results are byte-identical to a
+// one-worker, uncached, ungated scalar-kernel engine in any
+// configuration. Its census methods are Grid, SectionGrid and SpecGrid.
 type SweepEngine = sweep.Engine
 
 // SweepPairResult compares analysis and simulation for one pair.
@@ -262,44 +263,17 @@ const DefaultSweepCacheSize = sweep.DefaultCacheSize
 // GOMAXPROCS workers and the default cache size.
 func NewSweepEngine(opt SweepOptions) *SweepEngine { return sweep.NewEngine(opt) }
 
-// SweepGrid sweeps every non-self-conflicting distance pair of an
-// (m, nc) memory sequentially; NewSweepEngine(...).Grid is the parallel
-// equivalent.
-func SweepGrid(m, nc int) []SweepPairResult { return sweep.Grid(m, nc) }
-
 // SummariseSweep aggregates a grid sweep.
 func SummariseSweep(m, nc int, results []SweepPairResult) SweepSummary {
 	return sweep.Summarise(m, nc, results)
 }
 
-// SweepTripleResult compares one distance triple's simulated cyclic
-// states over all relative placements with the per-placement capacity
-// bounds.
-type SweepTripleResult = sweep.TripleSweepResult
-
-// SweepTripleGridSummary aggregates an all-placements triple sweep.
+// SweepTripleGridSummary aggregates a spec census (SpecGrid).
 type SweepTripleGridSummary = sweep.TripleGridSummary
 
 // SweepSectionPairResult compares the section theorems with simulation
 // for one distance pair of a sectioned (m, s, nc) memory.
 type SweepSectionPairResult = sweep.SectionPairResult
-
-// SweepTripleGrid sweeps every unordered distance triple of an (m, nc)
-// memory over all m^2 relative placements sequentially;
-// NewSweepEngine(...).TripleGrid is the parallel, cached equivalent.
-func SweepTripleGrid(m, nc int) []SweepTripleResult { return sweep.TripleGrid(m, nc) }
-
-// SummariseSweepTripleGrid aggregates an all-placements triple sweep.
-func SummariseSweepTripleGrid(m, nc int, results []SweepTripleResult) SweepTripleGridSummary {
-	return sweep.SummariseTripleGrid(m, nc, results)
-}
-
-// SweepSectionGrid sweeps every pair of a sectioned (m, s, nc) memory
-// sequentially; NewSweepEngine(...).SectionGrid is the parallel, cached
-// equivalent.
-func SweepSectionGrid(m, s, nc int) []SweepSectionPairResult {
-	return sweep.SectionGrid(m, s, nc)
-}
 
 // PairBandwidthBounds returns the provable sandwich on any pair's
 // cyclic-state bandwidth: 1/nc <= b_eff <= the two-stream capacity.
@@ -349,17 +323,7 @@ func NewTripleSpec(m, nc int, d [3]int) SweepConfigSpec { return sweep.TripleSpe
 // one per CPU: stream 1 fixed at bank 0, the rest swept.
 func NewNStreamSpec(m, nc int, d []int) SweepConfigSpec { return sweep.NStreamSpec(m, nc, d) }
 
-// SweepSpec sweeps one spec sequentially over all placements of its
-// swept streams; NewSweepEngine(...).SweepSpec is the parallel, cached
-// equivalent.
-func SweepSpec(spec SweepConfigSpec) SweepSpecResult { return sweep.SweepSpec(spec) }
-
-// SweepNStreamGrid sweeps every nondecreasing n-tuple of allowed
-// distances of an (m, nc) memory over all placements sequentially;
-// NewSweepEngine(...).NStreamGrid is the parallel, cached equivalent.
-func SweepNStreamGrid(m, nc, n int) []SweepSpecResult { return sweep.NStreamGrid(m, nc, n) }
-
-// SummariseSweepSpecGrid aggregates an N-stream grid sweep.
+// SummariseSweepSpecGrid aggregates a SpecGrid census.
 func SummariseSweepSpecGrid(results []SweepSpecResult) SweepTripleGridSummary {
 	return sweep.SummariseSpecGrid(results)
 }

@@ -98,12 +98,19 @@ func TestFacadeFigures(t *testing.T) {
 	}
 }
 
+// referenceEngine is the facade spelling of the reference engine: one
+// worker, no cache, no analytic gate, scalar kernel.
+func referenceEngine() *ivm.SweepEngine {
+	off := false
+	return ivm.NewSweepEngine(ivm.SweepOptions{Workers: 1, CacheSize: -1, Analytic: &off, PackedKernel: &off})
+}
+
 func TestFacadeSweepEngine(t *testing.T) {
-	seq := ivm.SweepGrid(12, 3)
+	seq := referenceEngine().Grid(12, 3)
 	eng := ivm.NewSweepEngine(ivm.SweepOptions{Workers: 4})
 	par := eng.Grid(12, 3)
 	if len(par) != len(seq) {
-		t.Fatalf("engine grid has %d pairs, sequential %d", len(par), len(seq))
+		t.Fatalf("engine grid has %d pairs, reference %d", len(par), len(seq))
 	}
 	for i := range seq {
 		if !par[i].SimMin.Equal(seq[i].SimMin) || !par[i].SimMax.Equal(seq[i].SimMax) {
@@ -129,21 +136,26 @@ func TestFacadeSpecSweep(t *testing.T) {
 	if fam := spec.Family(); fam != "pair" {
 		t.Fatalf("pair spec compiles into family %q", fam)
 	}
-	seq := ivm.SweepSpec(spec)
+	specs := []ivm.SweepConfigSpec{spec}
+	seq := referenceEngine().SpecGrid(specs)[0]
 	eng := ivm.NewSweepEngine(ivm.SweepOptions{Workers: 2})
-	par := eng.SweepSpec(spec)
+	par := eng.SpecGrid(specs)[0]
 	if !par.SimMin.Equal(seq.SimMin) || !par.SimMax.Equal(seq.SimMax) || par.Starts != seq.Starts {
-		t.Fatalf("engine spec sweep %+v != sequential %+v", par, seq)
+		t.Fatalf("engine spec sweep %+v != reference %+v", par, seq)
 	}
 	four := ivm.NewNStreamSpec(4, 1, []int{1, 1, 2, 3})
 	if fam := four.Family(); fam != "stream4" {
 		t.Fatalf("four-stream spec compiles into family %q", fam)
 	}
-	r := eng.SweepSpec(four)
+	r := eng.SpecGrid([]ivm.SweepConfigSpec{four})[0]
 	if r.Starts != 64 || r.Violations != 0 {
 		t.Fatalf("four-stream sweep %+v", r)
 	}
-	grid := ivm.SweepNStreamGrid(4, 1, 3)
+	grid := eng.SpecGrid([]ivm.SweepConfigSpec{
+		ivm.NewNStreamSpec(4, 1, []int{1, 1, 1}),
+		ivm.NewNStreamSpec(4, 1, []int{1, 2, 3}),
+		ivm.NewNStreamSpec(4, 1, []int{0, 1, 3}),
+	})
 	if s := ivm.SummariseSweepSpecGrid(grid); s.Violations != 0 || s.Starts == 0 {
 		t.Fatalf("three-stream grid summary %+v", s)
 	}

@@ -153,16 +153,17 @@ func BenchmarkSingleStreamBandwidth(b *testing.B) {
 func BenchmarkTheorem3Sweep(b *testing.B) {
 	var disagreements int
 	for i := 0; i < b.N; i++ {
-		results := sweep.Grid(12, 3)
+		results := sweep.Reference().Grid(12, 3)
 		disagreements = len(sweep.Summarise(12, 3, results).Disagree)
 	}
 	b.ReportMetric(float64(disagreements), "disagreements")
 }
 
-// Parallel sweep engine vs the sequential reference, over the full
+// Parallel sweep engine vs the reference engine (sweep.Reference: one
+// worker, no cache, no gate, scalar kernel), over the full
 // EXPERIMENTS.md cross-validation grid. The parallel benchmark builds a
 // fresh engine each iteration (cold cache) and reports the achieved
-// cache hit rate plus the wall-clock speedup against one sequential
+// cache hit rate plus the wall-clock speedup against one reference
 // pass measured in the same process.
 var sweepBenchGrid = []struct{ m, nc int }{{8, 2}, {12, 3}, {13, 4}, {16, 4}}
 
@@ -171,7 +172,7 @@ func BenchmarkSweepSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pairs = 0
 		for _, g := range sweepBenchGrid {
-			pairs += len(sweep.Grid(g.m, g.nc))
+			pairs += len(sweep.Reference().Grid(g.m, g.nc))
 		}
 	}
 	b.ReportMetric(float64(pairs), "pairs")
@@ -179,8 +180,9 @@ func BenchmarkSweepSequential(b *testing.B) {
 
 func BenchmarkSweepParallel(b *testing.B) {
 	start := time.Now()
+	ref := sweep.Reference()
 	for _, g := range sweepBenchGrid {
-		sweep.Grid(g.m, g.nc)
+		ref.Grid(g.m, g.nc)
 	}
 	seq := time.Since(start)
 	var hitRate float64
@@ -259,7 +261,7 @@ func BenchmarkSweepTriplesSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		placements = 0
 		for _, g := range tripleBenchGrid {
-			for _, r := range sweep.TripleGrid(g.m, g.nc) {
+			for _, r := range sweep.Reference().SpecGrid(sweep.TripleSpecs(g.m, g.nc)) {
 				placements += r.Starts
 			}
 		}
@@ -269,8 +271,9 @@ func BenchmarkSweepTriplesSequential(b *testing.B) {
 
 func BenchmarkSweepTriplesParallel(b *testing.B) {
 	start := time.Now()
+	ref := sweep.Reference()
 	for _, g := range tripleBenchGrid {
-		sweep.TripleGrid(g.m, g.nc)
+		ref.SpecGrid(sweep.TripleSpecs(g.m, g.nc))
 	}
 	seq := time.Since(start)
 	var hitRate float64
@@ -278,7 +281,7 @@ func BenchmarkSweepTriplesParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sweep.NewEngine(sweep.Options{Workers: 4})
 		for _, g := range tripleBenchGrid {
-			eng.TripleGrid(g.m, g.nc)
+			eng.SpecGrid(sweep.TripleSpecs(g.m, g.nc))
 		}
 		hitRate = eng.Metrics().TripleHitRate()
 	}
@@ -296,7 +299,7 @@ func BenchmarkSweepSectionsSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pairs = 0
 		for _, g := range sectionBenchGrid {
-			pairs += len(sweep.SectionGrid(g.m, g.s, g.nc))
+			pairs += len(sweep.Reference().SectionGrid(g.m, g.s, g.nc))
 		}
 	}
 	b.ReportMetric(float64(pairs), "pairs")
@@ -304,8 +307,9 @@ func BenchmarkSweepSectionsSequential(b *testing.B) {
 
 func BenchmarkSweepSectionsParallel(b *testing.B) {
 	start := time.Now()
+	ref := sweep.Reference()
 	for _, g := range sectionBenchGrid {
-		sweep.SectionGrid(g.m, g.s, g.nc)
+		ref.SectionGrid(g.m, g.s, g.nc)
 	}
 	seq := time.Since(start)
 	var hitRate float64
@@ -329,10 +333,10 @@ func BenchmarkSweepTripleCensusTranslated(b *testing.B) {
 	var base, translated float64
 	for i := 0; i < b.N; i++ {
 		eng := sweep.NewEngine(sweep.Options{Workers: 4})
-		eng.Triples(13, 4)
+		eng.SpecGrid(sweep.TripleCensusSpecs(13, 4, [3]int{0, 1, 2}))
 		m0 := eng.Metrics().Family("triple")
 		base = float64(m0.Hits) / float64(m0.Hits+m0.Misses)
-		eng.TriplesAt(13, 4, [3]int{5, 6, 7})
+		eng.SpecGrid(sweep.TripleCensusSpecs(13, 4, [3]int{5, 6, 7}))
 		m1 := eng.Metrics().Family("triple")
 		dh, dm := m1.Hits-m0.Hits, m1.Misses-m0.Misses
 		translated = float64(dh) / float64(dh+dm)
@@ -348,7 +352,7 @@ func BenchmarkSweepNStreamParallel(b *testing.B) {
 	var hitRate float64
 	for i := 0; i < b.N; i++ {
 		eng := sweep.NewEngine(sweep.Options{Workers: 4})
-		eng.NStreamGrid(4, 1, 4)
+		eng.SpecGrid(sweep.NStreamSpecs(4, 1, 4))
 		hitRate = eng.Metrics().FamilyHitRate("stream4")
 	}
 	b.ReportMetric(hitRate*100, "stream4_cache_hit_%")
@@ -393,7 +397,7 @@ func BenchmarkSweepProvenance(b *testing.B) {
 		for _, g := range sweepBenchGrid {
 			eng.Grid(g.m, g.nc)
 		}
-		eng.NStreamGrid(4, 1, 4)
+		eng.SpecGrid(sweep.NStreamSpecs(4, 1, 4))
 		snap = prov.Snapshot()
 	}
 	var analytic, cache, sim, resolved int64

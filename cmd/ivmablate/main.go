@@ -172,8 +172,7 @@ func pairs(eng *sweep.Engine) {
 
 func triplesStudy(eng *sweep.Engine) {
 	fmt.Println("== three-stream capacity bounds (m=8, nc=2): all placements vs core.MultiStreamBound")
-	results := eng.TripleGrid(8, 2)
-	s := sweep.SummariseTripleGrid(8, 2, results)
+	s := sweep.SummariseSpecGrid(eng.SpecGrid(sweep.TripleSpecs(8, 2)))
 	fmt.Printf("%d triples over %d placements: bound attained somewhere by %d triples (%d placements), violated by %d\n",
 		s.Triples, s.Starts, s.TightSomewhere, s.TightStarts, s.Violations)
 	m := eng.Metrics()
@@ -202,18 +201,19 @@ func sectionsStudy(eng *sweep.Engine) {
 
 // sectionUnitsStudy is the differential soundness campaign for the
 // full-unit-group section canonicalisation: on every section grid from
-// EXPERIMENTS.md it runs the cold sequential sweep, the engine under
-// the full unit group (the default), and the engine restricted to the
-// conservative section-fixing subgroup u ≡ 1 (mod s), and demands all
-// three agree result-for-result. It reports both hit rates so the
-// cache win of the larger group is visible next to its soundness.
+// EXPERIMENTS.md it runs the reference engine (sweep.Reference), the
+// engine under the full unit group (the default), and the engine
+// restricted to the conservative section-fixing subgroup
+// u ≡ 1 (mod s), and demands all three agree result-for-result. It
+// reports both hit rates so the cache win of the larger group is
+// visible next to its soundness.
 func sectionUnitsStudy(workers, cache int) bool {
 	fmt.Println("== section canonicalisation soundness: full unit group vs u ≡ 1 (mod s) subgroup vs cold sweep")
 	grids := []struct{ m, s, nc int }{{12, 2, 2}, {12, 3, 3}, {16, 4, 4}, {8, 2, 2}}
 	tbl := &textplot.Table{Header: []string{"m", "s", "nc", "pairs", "mismatch", "full hits", "subgroup hits"}}
 	ok := true
 	for _, g := range grids {
-		cold := sweep.SectionGrid(g.m, g.s, g.nc)
+		cold := sweep.Reference().SectionGrid(g.m, g.s, g.nc)
 		full := sweep.NewEngine(sweep.Options{Workers: workers, CacheSize: cache})
 		fullRes := full.SectionGrid(g.m, g.s, g.nc)
 		off := false
@@ -251,10 +251,10 @@ func sectionUnitsStudy(workers, cache int) bool {
 // loss (Fig. 8b), and recover it again when the consecutive section
 // mapping removes the conflict outright (Fig. 9). Part B is the
 // differential campaign over every (priority, mapping) combination:
-// the cold sequential sweep, the cached parallel engine, and a warm
-// re-run on the same engine must agree result-for-result, with the
-// cache hit rate and packed-kernel fallbacks of each combination
-// reported next to its mismatch count.
+// the reference engine (sweep.Reference), the cached parallel engine,
+// and a warm re-run on the same engine must agree result-for-result,
+// with the cache hit rate and packed-kernel fallbacks of each
+// combination reported next to its mismatch count.
 func policiesStudy(workers, cache int) bool {
 	fmt.Println("== policy dimensions: Fig. 8a/8b/9 reproduction and the per-policy differential campaign")
 	ok := true
@@ -314,10 +314,7 @@ func policiesStudy(workers, cache int) bool {
 		for i := range specs {
 			specs[i] = specs[i].WithPolicy(c.priority, c.mapping)
 		}
-		cold := make([]sweep.SpecResult, len(specs))
-		for i, sp := range specs {
-			cold[i] = sweep.SweepSpec(sp)
-		}
+		cold := sweep.Reference().SpecGrid(specs)
 		eng := sweep.NewEngine(sweep.Options{Workers: workers, CacheSize: cache})
 		engRes := eng.SpecGrid(specs)
 		warmRes := eng.SpecGrid(specs)

@@ -5,9 +5,10 @@
 // Its output is the machine-generated counterpart of EXPERIMENTS.md.
 //
 // The grid sweeps run on the parallel sweep engine (-workers/-cache);
-// the report is byte-identical to the sequential path apart from the
-// appended engine-counter and result-provenance sections (the latter
-// attributes every grid placement to the theorem, cache orbit or
+// the report is byte-identical to a run on the reference engine
+// (sweep.Reference: one worker, no cache, no gate, scalar kernel) apart
+// from the appended engine-counter and result-provenance sections (the
+// latter attributes every grid placement to the theorem, cache orbit or
 // simulation that answered it; -provenance=false drops it).
 // -metrics-out captures the engine snapshot (cache hit rate,
 // per-worker utilisation, provenance) as JSON, -metrics-addr serves it

@@ -4,7 +4,8 @@
 // and effective bandwidth next to the simulated cyclic-state range over
 // all relative starting positions. Sweeps run on the parallel engine
 // (worker pool + cyclic-state cache); the sweep tables are
-// byte-identical to the sequential path regardless of -workers/-cache.
+// byte-identical to the reference route (-workers 1 -cache -1
+// -analytic=false -kernel scalar) whatever -workers/-cache select.
 // (The engine-counter footer is diagnostic: concurrent workers can
 // both miss the same cache key, so its counts may vary by a few.)
 //
@@ -91,6 +92,7 @@ func main() {
 		os.Exit(2)
 	}
 	warning, err := validateSweepFlags(sweepFlags{
+		m: *m, nc: *nc,
 		streams: *streams, secs: *secs, triples: *triples, census: *census,
 		priority: priority, mapping: mapping, analytic: *analytic, strict: *strict,
 	})
@@ -288,9 +290,11 @@ func latencySink(h *obs.LatencyHist) sweep.LatencySink {
 	return h
 }
 
-// sweepFlags collects the mutually exclusive sweep-family selectors
-// and the policy dimensions for validation before any work starts.
+// sweepFlags collects the memory shape, the mutually exclusive
+// sweep-family selectors and the policy dimensions for validation
+// before any work starts.
 type sweepFlags struct {
+	m, nc    int
 	streams  int
 	secs     int
 	triples  bool
@@ -307,8 +311,10 @@ func (f sweepFlags) defaultPolicy() bool {
 	return f.priority == memsys.FixedPriority && f.mapping == memsys.CyclicSections
 }
 
-// validateSweepFlags rejects conflicting flag combinations with a
-// usage error instead of silently ignoring one of the flags. A
+// validateSweepFlags rejects conflicting flag combinations and memory
+// shapes the simulator cannot build (ConfigSpec.Validate) with a usage
+// error, instead of silently ignoring one of the flags or panicking
+// inside a sweep worker. A
 // combination that is legal but surprising — the analytic gate under a
 // priority rule its theorems do not cover — comes back as a warning,
 // promoted to an error under -strict.
@@ -335,13 +341,16 @@ func validateSweepFlags(f sweepFlags) (warning string, err error) {
 		return "", fmt.Errorf("-priority/-mapping sweeps cover the pair and section families; drop -triples/-streams")
 	}
 	if f.analytic && f.priority != memsys.FixedPriority {
-		msg := fmt.Sprintf("analytic gate does not cover %s priority, ignoring -analytic", f.priority)
+		warning = fmt.Sprintf("analytic gate does not cover %s priority, ignoring -analytic", f.priority)
 		if f.strict {
-			return "", fmt.Errorf("%s: rerun with -analytic=false (strict)", msg)
+			return "", fmt.Errorf("%s: rerun with -analytic=false (strict)", warning)
 		}
-		return msg, nil
 	}
-	return "", nil
+	shape := sweep.ConfigSpec{M: f.m, S: f.secs, NC: f.nc, Streams: []sweep.Stream{{}}}
+	if err := shape.WithPolicy(f.priority, f.mapping).Validate(); err != nil {
+		return "", fmt.Errorf("memory shape -m %d -s %d -nc %d: %v", f.m, f.secs, f.nc, err)
+	}
+	return warning, nil
 }
 
 func runSweeps(eng *sweep.Engine, m, nc, secs, streams int, triples, census, full bool, priority memsys.PriorityRule, mapping memsys.SectionMapping) {
@@ -361,7 +370,7 @@ func runSweeps(eng *sweep.Engine, m, nc, secs, streams int, triples, census, ful
 		return
 	}
 	if streams >= 2 {
-		results := eng.NStreamGrid(m, nc, streams)
+		results := eng.SpecGrid(sweep.NStreamSpecs(m, nc, streams))
 		if full {
 			fmt.Print(sweep.SpecTable(results))
 			fmt.Println()
@@ -373,18 +382,17 @@ func runSweeps(eng *sweep.Engine, m, nc, secs, streams int, triples, census, ful
 	}
 	if triples {
 		if census {
-			results := eng.Triples(m, nc)
-			sum := sweep.SummariseTriples(results)
+			sum := sweep.SummariseSpecGrid(eng.SpecGrid(sweep.TripleCensusSpecs(m, nc, [3]int{0, 1, 2})))
 			fmt.Printf("m=%d n_c=%d: %d distance triples at placement (0,1,2); capacity bound attained by %d, violated by %d\n",
-				m, nc, sum.Triples, sum.Tight, sum.Violations)
+				m, nc, sum.Triples, sum.TightStarts, sum.Violations)
 			return
 		}
-		results := eng.TripleGrid(m, nc)
+		results := eng.SpecGrid(sweep.TripleSpecs(m, nc))
 		if full {
-			fmt.Print(sweep.TripleGridTable(results))
+			fmt.Print(sweep.SpecTable(results))
 			fmt.Println()
 		}
-		sum := sweep.SummariseTripleGrid(m, nc, results)
+		sum := sweep.SummariseSpecGrid(results)
 		fmt.Printf("m=%d n_c=%d: %d distance triples over %d placements; bound attained somewhere by %d triples (%d placements), violated by %d\n",
 			m, nc, sum.Triples, sum.Starts, sum.TightSomewhere, sum.TightStarts, sum.Violations)
 		return

@@ -7,6 +7,12 @@ import (
 	"ivm/internal/memsys"
 )
 
+// withShape gives flags the default -m 16 -nc 4 memory shape.
+func withShape(f sweepFlags) sweepFlags {
+	f.m, f.nc = 16, 4
+	return f
+}
+
 func TestValidateSweepFlags(t *testing.T) {
 	good := []sweepFlags{
 		{},              // default pair sweep
@@ -21,6 +27,7 @@ func TestValidateSweepFlags(t *testing.T) {
 		{secs: 4, mapping: memsys.ConsecutiveSections, priority: memsys.CyclicPriority},
 	}
 	for _, f := range good {
+		f = withShape(f)
 		if w, err := validateSweepFlags(f); err != nil || w != "" {
 			t.Errorf("%+v rejected: warning %q err %v", f, w, err)
 		}
@@ -39,6 +46,9 @@ func TestValidateSweepFlags(t *testing.T) {
 		{sweepFlags{priority: memsys.CyclicPriority, triples: true}, "pair and section families"},
 		{sweepFlags{priority: memsys.RoundRobinPerCPU, streams: 3}, "pair and section families"},
 		{sweepFlags{priority: memsys.CyclicPriority, analytic: true, strict: true}, "analytic gate"},
+		{sweepFlags{m: 4, nc: 0}, "bank busy time 0"},
+		{sweepFlags{m: 12, nc: 4, secs: 5}, "sections 5 must divide banks 12"},
+		{sweepFlags{m: 0, nc: 4}, "0 banks"},
 	}
 	for _, c := range bad {
 		_, err := validateSweepFlags(c.f)
@@ -57,7 +67,7 @@ func TestValidateSweepFlags(t *testing.T) {
 // and only -strict promotes the warning to an error.
 func TestValidateSweepFlagsAnalyticWarning(t *testing.T) {
 	for _, prio := range []memsys.PriorityRule{memsys.CyclicPriority, memsys.RoundRobinPerCPU} {
-		w, err := validateSweepFlags(sweepFlags{priority: prio, analytic: true})
+		w, err := validateSweepFlags(withShape(sweepFlags{priority: prio, analytic: true}))
 		if err != nil {
 			t.Fatalf("priority %v: unexpected error %v", prio, err)
 		}
@@ -65,7 +75,7 @@ func TestValidateSweepFlagsAnalyticWarning(t *testing.T) {
 			t.Fatalf("priority %v: warning %q", prio, w)
 		}
 	}
-	if w, err := validateSweepFlags(sweepFlags{priority: memsys.FixedPriority, analytic: true}); err != nil || w != "" {
+	if w, err := validateSweepFlags(withShape(sweepFlags{priority: memsys.FixedPriority, analytic: true})); err != nil || w != "" {
 		t.Fatalf("fixed priority warned: %q, %v", w, err)
 	}
 }

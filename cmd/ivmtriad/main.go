@@ -95,10 +95,14 @@ func main() {
 			Analytic: analytic, PackedKernel: packed})
 		fmt.Printf("\nIdealised triad streams (INC,INC,INC) on m=16 n_c=4, all relative placements:\n")
 		fmt.Printf("%-4s %12s %12s %12s %12s %10s\n", "INC", "bound min", "bound max", "sim min", "sim max", "tight")
-		for inc := 1; inc <= *maxInc; inc++ {
-			r := eng.SweepTriple(16, 4, [3]int{inc, inc, inc})
+		specs := make([]sweep.ConfigSpec, *maxInc)
+		for i := range specs {
+			inc := i + 1
+			specs[i] = sweep.TripleSpec(16, 4, [3]int{inc, inc, inc})
+		}
+		for i, r := range eng.SpecGrid(specs) {
 			fmt.Printf("%-4d %12s %12s %12s %12s %6d/%d\n",
-				inc, r.BoundMin, r.BoundMax, r.SimMin, r.SimMax, r.TightStarts, r.Starts)
+				i+1, r.BoundMin, r.BoundMax, r.SimMin, r.SimMax, r.TightStarts, r.Starts)
 		}
 		m := eng.Metrics()
 		tf := m.Family("triple")

@@ -5,52 +5,91 @@ import "testing"
 // A system reused through Reset must find exactly the same cyclic
 // steady state as a fresh one — same lead, length, per-port grants and
 // bandwidth — even after simulating an unrelated configuration of
-// streams in between. This is the contract the parallel sweep's
-// per-worker system reuse relies on.
+// streams in between, on either kernel. This is the contract the sweep
+// engine's per-worker system reuse relies on: every answer, the
+// reference engine's included, comes from a system reused through
+// Reset. Each configuration appears in two consecutive rows, so the
+// second row of every pair runs on a Reset system.
 func TestResetReuseMatchesFresh(t *testing.T) {
-	type pair struct{ m, nc, d1, b2, d2 int }
-	pairs := []pair{
-		{13, 6, 1, 0, 6}, // Fig. 3 barrier
-		{12, 3, 1, 3, 7}, // Fig. 2 conflict-free
-		{16, 4, 8, 1, 8}, // self-conflicting
-		{13, 6, 1, 0, 6}, // Fig. 3 again, now on a dirty system
+	fig3 := Config{Banks: 13, BankBusy: 6, CPUs: 2}
+	fig2 := Config{Banks: 12, BankBusy: 3, CPUs: 2}
+	xmp := Config{Banks: 16, BankBusy: 4, CPUs: 2}
+	sectioned := Config{Banks: 16, Sections: 4, BankBusy: 4, CPUs: 1}
+	three := Config{Banks: 13, BankBusy: 4, CPUs: 3}
+	cyclic := Config{Banks: 13, BankBusy: 6, CPUs: 2, Priority: CyclicPriority}
+	consec := Config{Banks: 12, Sections: 3, BankBusy: 3, CPUs: 1, Mapping: ConsecutiveSections}
+	// two places stream 1 (d1) at bank 0 and stream 2 (d2) at b2 on cpu2.
+	two := func(b2, d1, d2, cpu2 int) []StreamSpec {
+		return []StreamSpec{{Distance: d1}, {Start: b2, Distance: d2, CPU: cpu2}}
 	}
-	fresh := make([]Cycle, len(pairs))
-	for i, p := range pairs {
-		sys := New(Config{Banks: p.m, BankBusy: p.nc, CPUs: 2})
-		sys.AddPort(0, "1", NewInfiniteStrided(0, int64(p.d1)))
-		sys.AddPort(1, "2", NewInfiniteStrided(int64(p.b2), int64(p.d2)))
-		c, err := sys.FindCycle(1 << 20)
-		if err != nil {
-			t.Fatal(err)
+	rows := []struct {
+		name    string
+		cfg     Config
+		streams []StreamSpec
+	}{
+		{"Fig. 3 barrier", fig3, two(0, 1, 6, 1)},
+		{"Fig. 3 shifted", fig3, two(4, 1, 6, 1)},
+		{"Fig. 2 conflict-free", fig2, two(3, 1, 7, 1)},
+		{"self-conflicting", xmp, two(1, 8, 8, 1)},
+		{"self-conflicting shifted", xmp, two(2, 8, 8, 1)},
+		{"sectioned pair", sectioned, two(1, 1, 3, 0)},
+		{"sectioned pair shifted", sectioned, two(5, 1, 3, 0)},
+		{"three streams", three, []StreamSpec{
+			{Distance: 1}, {Start: 1, Distance: 2, CPU: 1}, {Start: 2, Distance: 6, CPU: 2}}},
+		{"three streams shifted", three, []StreamSpec{
+			{Distance: 1}, {Start: 5, Distance: 2, CPU: 1}, {Start: 9, Distance: 6, CPU: 2}}},
+		// b2 = 1 leaves the rotation pointer odd; a Reset that kept it
+		// would turn the b2 = 0 barrier (7/6) into b_eff = 1.
+		{"cyclic-priority pair", cyclic, two(1, 1, 6, 1)},
+		{"cyclic-priority pair shifted", cyclic, two(0, 1, 6, 1)},
+		{"consecutive section pair", consec, two(1, 1, 1, 0)},
+		{"consecutive section pair shifted", consec, two(2, 1, 5, 0)},
+		{"Fig. 3 on a dirty system", fig3, two(0, 1, 6, 1)},
+	}
+	for _, k := range []Kernel{KernelScalar, KernelPacked} {
+		fresh := make([]Cycle, len(rows))
+		for i, r := range rows {
+			sys := New(r.cfg)
+			sys.SetKernel(k)
+			sys.AddStreams(r.streams...)
+			c, err := sys.FindCycle(1 << 20)
+			if err != nil {
+				t.Fatalf("%v %s: %v", k, r.name, err)
+			}
+			fresh[i] = c
 		}
-		fresh[i] = c
-	}
 
-	var reused *System
-	for i, p := range pairs {
-		cfg := Config{Banks: p.m, BankBusy: p.nc, CPUs: 2}
-		if reused == nil || reused.Config() != cfg {
-			reused = New(cfg)
-		} else {
-			reused.Reset()
-		}
-		reused.AddPort(0, "1", NewInfiniteStrided(0, int64(p.d1)))
-		reused.AddPort(1, "2", NewInfiniteStrided(int64(p.b2), int64(p.d2)))
-		c, err := reused.FindCycle(1 << 20)
-		if err != nil {
-			t.Fatalf("reused %v: %v", p, err)
-		}
-		if c.Lead != fresh[i].Lead || c.Length != fresh[i].Length {
-			t.Fatalf("reused %v: lead/length %d/%d, fresh %d/%d", p, c.Lead, c.Length, fresh[i].Lead, fresh[i].Length)
-		}
-		for pt := range c.Grants {
-			if c.Grants[pt] != fresh[i].Grants[pt] {
-				t.Fatalf("reused %v: grants %v, fresh %v", p, c.Grants, fresh[i].Grants)
+		var reused *System
+		resets := 0
+		for i, r := range rows {
+			if reused == nil || reused.Config() != r.cfg {
+				reused = New(r.cfg)
+				reused.SetKernel(k)
+			} else {
+				reused.Reset()
+				resets++
+			}
+			reused.AddStreams(r.streams...)
+			c, err := reused.FindCycle(1 << 20)
+			if err != nil {
+				t.Fatalf("%v reused %s: %v", k, r.name, err)
+			}
+			if c.Lead != fresh[i].Lead || c.Length != fresh[i].Length {
+				t.Fatalf("%v reused %s: lead/length %d/%d, fresh %d/%d",
+					k, r.name, c.Lead, c.Length, fresh[i].Lead, fresh[i].Length)
+			}
+			for pt := range c.Grants {
+				if c.Grants[pt] != fresh[i].Grants[pt] {
+					t.Fatalf("%v reused %s: grants %v, fresh %v", k, r.name, c.Grants, fresh[i].Grants)
+				}
+			}
+			if !c.EffectiveBandwidth().Equal(fresh[i].EffectiveBandwidth()) {
+				t.Fatalf("%v reused %s: b_eff %s, fresh %s",
+					k, r.name, c.EffectiveBandwidth(), fresh[i].EffectiveBandwidth())
 			}
 		}
-		if !c.EffectiveBandwidth().Equal(fresh[i].EffectiveBandwidth()) {
-			t.Fatalf("reused %v: b_eff %s, fresh %s", p, c.EffectiveBandwidth(), fresh[i].EffectiveBandwidth())
+		if resets != 6 {
+			t.Fatalf("%v: %d rows ran on a Reset system, want 6", k, resets)
 		}
 	}
 }

@@ -16,7 +16,7 @@ func TestProgressTracksEngine(t *testing.T) {
 	prog := NewProgress(nil)
 	eng := sweep.NewEngine(sweep.Options{Workers: 2, Progress: prog})
 	eng.Grid(13, 4)
-	eng.TripleGrid(5, 2)
+	eng.SpecGrid(sweep.TripleSpecs(5, 2))
 	s := prog.Snapshot()
 	if s.Total == 0 || s.Total != s.Done {
 		t.Errorf("after completed sweeps: total %d done %d", s.Total, s.Done)

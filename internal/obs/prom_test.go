@@ -184,7 +184,7 @@ func TestSweepPromMetricsLive(t *testing.T) {
 	prov := sweep.NewProvenance(0)
 	eng := sweep.NewEngine(sweep.Options{Workers: 2, Provenance: prov})
 	eng.Grid(13, 4)
-	eng.NStreamGrid(4, 1, 4)
+	eng.SpecGrid(sweep.NStreamSpecs(4, 1, 4))
 
 	reg := NewRegistry()
 	reg.RegisterProm("sweep", SweepPromMetrics(eng))

@@ -28,9 +28,9 @@ type Options struct {
 	Grids [][2]int
 	// MaxInc bounds the ablation sweeps.
 	MaxInc int
-	// Engine, when non-nil, runs every grid cross-validation sweep on
-	// the parallel sweep engine (byte-identical tables) and appends an
-	// engine-counter section to the report.
+	// Engine, when non-nil, runs every grid cross-validation sweep and
+	// appends an engine-counter section to the report; nil runs the
+	// sweeps on sweep.Reference() (the tables are byte-identical).
 	Engine *sweep.Engine
 }
 
@@ -61,7 +61,11 @@ func Write(w io.Writer, opts Options) error {
 	if err := PhaseHistograms(w); err != nil {
 		return err
 	}
-	gridsWith(w, opts.Grids, opts.Engine)
+	eng := opts.Engine
+	if eng == nil {
+		eng = sweep.Reference()
+	}
+	gridsWith(w, opts.Grids, eng)
 	if err := PolicyComparison(w, opts.Engine); err != nil {
 		return err
 	}
@@ -148,30 +152,15 @@ func PhaseHistograms(w io.Writer) error {
 	return nil
 }
 
-// Grids writes the exhaustive cross-validation summary, including the
-// section-theorem grid on the X-MP layout and the three-stream
-// capacity-bound sweep, on the sequential reference path.
-func Grids(w io.Writer, grids [][2]int) { gridsWith(w, grids, nil) }
-
-// gridsWith runs the grid sections on the engine when one is given;
-// the tables are byte-identical either way.
+// gridsWith writes the exhaustive cross-validation summary on eng: the
+// pair grids, the section-theorem grid on the X-MP layout, and the
+// three-stream capacity-bound censuses.
 func gridsWith(w io.Writer, grids [][2]int, eng *sweep.Engine) {
-	grid := sweep.Grid
-	sectionGrid := sweep.SectionGrid
-	triples := sweep.SweepTriples
-	tripleGrid := sweep.TripleGrid
-	if eng != nil {
-		grid = eng.Grid
-		sectionGrid = eng.SectionGrid
-		triples = eng.Triples
-		tripleGrid = eng.TripleGrid
-	}
-
 	fmt.Fprintln(w, "## Analytic model vs simulator (all pairs x all starts)")
 	fmt.Fprintln(w)
 	tbl := &textplot.Table{Header: []string{"m", "n_c", "pairs", "disagreements"}}
 	for _, g := range grids {
-		results := grid(g[0], g[1])
+		results := eng.Grid(g[0], g[1])
 		s := sweep.Summarise(g[0], g[1], results)
 		tbl.Add(g[0], g[1], s.Pairs, len(s.Disagree))
 	}
@@ -182,7 +171,7 @@ func gridsWith(w io.Writer, grids [][2]int, eng *sweep.Engine) {
 	fmt.Fprintln(w)
 	tbl = &textplot.Table{Header: []string{"m", "s", "n_c", "pairs", "disagreements"}}
 	for _, g := range [][3]int{{12, 2, 2}, {16, 4, 4}} {
-		results := sectionGrid(g[0], g[1], g[2])
+		results := eng.SectionGrid(g[0], g[1], g[2])
 		bad := 0
 		for _, r := range results {
 			if !r.Agree {
@@ -196,10 +185,10 @@ func gridsWith(w io.Writer, grids [][2]int, eng *sweep.Engine) {
 
 	fmt.Fprintln(w, "## Three-stream capacity bounds")
 	fmt.Fprintln(w)
-	tr := sweep.SummariseTriples(triples(12, 3))
+	tr := sweep.SummariseSpecGrid(eng.SpecGrid(sweep.TripleCensusSpecs(12, 3, [3]int{0, 1, 2})))
 	fmt.Fprintf(w, "m=12 n_c=3: %d triples at placement (0,1,2), bound attained by %d, violated by %d\n\n",
-		tr.Triples, tr.Tight, tr.Violations)
-	tg := sweep.SummariseTripleGrid(8, 2, tripleGrid(8, 2))
+		tr.Triples, tr.TightStarts, tr.Violations)
+	tg := sweep.SummariseSpecGrid(eng.SpecGrid(sweep.TripleSpecs(8, 2)))
 	fmt.Fprintf(w, "m=8 n_c=2, all placements: %d triples over %d placements, bound attained somewhere by %d (%d placements), violated by %d\n\n",
 		tg.Triples, tg.Starts, tg.TightSomewhere, tg.TightStarts, tg.Violations)
 }

@@ -15,13 +15,13 @@ import (
 // answer without it.
 
 // TestDifferentialAnalyticGateGrids runs whole grids three ways — gate
-// on (default), gate forced off, and the sequential cold path — and
+// on (default), gate forced off, and the reference engine — and
 // demands identical results, with the gate's accounting visible only
 // where it was enabled.
 func TestDifferentialAnalyticGateGrids(t *testing.T) {
 	off := false
 	for _, g := range experimentsGrid {
-		seq := Grid(g.m, g.nc)
+		seq := Reference().Grid(g.m, g.nc)
 		on := NewEngine(Options{Workers: 4})
 		gated := on.Grid(g.m, g.nc)
 		forced := NewEngine(Options{Workers: 4, Analytic: &off})
@@ -30,7 +30,7 @@ func TestDifferentialAnalyticGateGrids(t *testing.T) {
 			t.Fatalf("m=%d nc=%d: gate on vs forced simulation differ", g.m, g.nc)
 		}
 		if !reflect.DeepEqual(gated, seq) {
-			t.Fatalf("m=%d nc=%d: gate on vs sequential differ", g.m, g.nc)
+			t.Fatalf("m=%d nc=%d: gate on vs reference differ", g.m, g.nc)
 		}
 		if on.Metrics().AnalyticHits == 0 {
 			t.Fatalf("m=%d nc=%d: gate enabled but no analytic hits", g.m, g.nc)
@@ -43,10 +43,10 @@ func TestDifferentialAnalyticGateGrids(t *testing.T) {
 
 // TestDifferentialAnalyticGatePlacements is the per-placement oracle
 // check: for every distance pair of small exhaustive grids, every
-// placement the gate answers is recomputed by a cold simulation on a
-// fresh system, and the values must be equal exactly (both are reduced
-// rationals). Gated regimes are tallied so a silently inactive gate
-// cannot pass.
+// placement the gate answers is recomputed by the reference engine's
+// scalar simulation, and the values must be equal exactly (both are
+// reduced rationals). Gated regimes are tallied so a silently inactive
+// gate cannot pass.
 func TestDifferentialAnalyticGatePlacements(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive placement grid")
@@ -60,14 +60,13 @@ func TestDifferentialAnalyticGatePlacements(t *testing.T) {
 					continue
 				}
 				spec := PairSpec(g.m, g.nc, d1, d2)
-				cold := coldSpecBW(spec)
 				for b2 := 0; b2 < g.m; b2++ {
 					v, ok := gate.BandwidthAt(0, b2)
 					if !ok {
 						continue
 					}
 					gatedByRegime[gate.Analysis().Regime]++
-					if want := cold([]int{0, b2}); !v.Equal(want) {
+					if want := referenceBW(t, spec, []int{d1, d2, 0, b2}); !v.Equal(want) {
 						t.Fatalf("m=%d nc=%d d=(%d,%d) b2=%d [%s]: gate %s, simulation %s",
 							g.m, g.nc, d1, d2, b2, gate.Analysis().Regime, v, want)
 					}

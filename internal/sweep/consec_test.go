@@ -6,7 +6,7 @@ import (
 )
 
 // TestDifferentialConsecutiveSections pins the consecutive-mapping
-// cache against the cold sequential sweep. The canonicalisation group
+// cache against the reference engine. The canonicalisation group
 // for consecutive sections is only the translations by multiples of
 // m/s (scaling by units u != 1 can move a consecutive block across a
 // section boundary: m=4, s=2, u=3 maps {0,1} to {0,3}), so the cached
@@ -24,10 +24,10 @@ func TestDifferentialConsecutiveSections(t *testing.T) {
 		for d1 := 0; d1 < g.m; d1 += 3 {
 			for d2 := d1; d2 < g.m; d2 += 2 {
 				spec := ConsecSectionPairSpec(g.m, g.s, g.nc, d1, d2)
-				cold := SweepSpec(spec)
-				got := eng.SweepSpec(spec)
+				cold := sweepSpec(Reference(), spec)
+				got := sweepSpec(eng, spec)
 				if !reflect.DeepEqual(cold, got) {
-					t.Fatalf("m=%d s=%d nc=%d (%d,%d): engine %+v != sequential %+v",
+					t.Fatalf("m=%d s=%d nc=%d (%d,%d): engine %+v != reference %+v",
 						g.m, g.s, g.nc, d1, d2, got, cold)
 				}
 			}
@@ -46,10 +46,10 @@ func TestDifferentialConsecutiveSections(t *testing.T) {
 			for d2 := d1; d2 < g.m; d2 += 2 {
 				spec := ConsecSectionPairSpec(g.m, g.s, g.nc, d1, d2)
 				spec.Streams[0].B = g.m / g.s
-				cold := SweepSpec(spec)
-				got := eng.SweepSpec(spec)
+				cold := sweepSpec(Reference(), spec)
+				got := sweepSpec(eng, spec)
 				if !reflect.DeepEqual(cold, got) {
-					t.Fatalf("m=%d s=%d nc=%d (%d,%d) b1=%d: engine %+v != sequential %+v",
+					t.Fatalf("m=%d s=%d nc=%d (%d,%d) b1=%d: engine %+v != reference %+v",
 						g.m, g.s, g.nc, d1, d2, g.m/g.s, got, cold)
 				}
 			}
@@ -74,13 +74,13 @@ func TestDifferentialConsecutiveSections(t *testing.T) {
 
 // TestDifferentialConsecutiveResolve pins Resolve on consecutive
 // specs: translated placements share an orbit (second resolve hits),
-// and values match the cold single-placement simulation.
+// and values match the reference engine's single-placement simulation.
 func TestDifferentialConsecutiveResolve(t *testing.T) {
 	eng := NewEngine(Options{Workers: 1})
 	spec := ConsecSectionPairSpec(12, 3, 2, 1, 5)
 	spec.Streams[1].Sweep = false
 	spec.Streams[1].B = 2
-	cold := simulateSpecVec(spec, []int{1, 5, 0, 2})
+	cold := referenceBW(t, spec, []int{1, 5, 0, 2})
 	first, err := eng.Resolve(spec)
 	if err != nil {
 		t.Fatal(err)

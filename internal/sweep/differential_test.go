@@ -9,7 +9,7 @@ import (
 	"ivm/internal/core"
 )
 
-// Differential harness: the parallel engine, the sequential sweep, and
+// Differential harness: the parallel engine, the reference engine, and
 // the analytic bounds are three independent routes to the same numbers.
 // Random pairs must agree result-for-result, and every simulated
 // bandwidth must sit inside the provable [1/n_c, capacity] sandwich.
@@ -22,10 +22,10 @@ func TestDifferentialRandomPairs(t *testing.T) {
 		nc := 1 + rng.Intn(4) // 1..4
 		d1 := rng.Intn(m)
 		d2 := rng.Intn(m)
-		seq := SweepPair(m, nc, d1, d2)
-		par := eng.SweepPair(m, nc, d1, d2)
+		seq := sweepPair(Reference(), m, nc, d1, d2)
+		par := sweepPair(eng, m, nc, d1, d2)
 		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("trial %d m=%d nc=%d (%d,%d): engine %+v != sequential %+v",
+			t.Fatalf("trial %d m=%d nc=%d (%d,%d): engine %+v != reference %+v",
 				trial, m, nc, d1, d2, par, seq)
 		}
 		lo, hi := core.PairBandwidthBounds(m, nc, d1, d2)
@@ -95,12 +95,12 @@ func TestCacheSemanticsPreserving(t *testing.T) {
 		if len(v) != 4 {
 			t.Fatalf("pair key %+v unpacked to %v", k, v)
 		}
-		cold := simulateSpecVec(PairSpec(k.m, k.nc, v[0], v[1]), v)
+		cold := referenceBW(t, PairSpec(k.m, k.nc, v[0], v[1]), v)
 		if !got.Equal(cold) {
 			t.Fatalf("key %+v: cached %s != cold recomputation %s", k, got, cold)
 		}
 	}
-	for i, r := range Grid(12, 3) {
+	for i, r := range Reference().Grid(12, 3) {
 		c := cached[i]
 		if !c.SimMin.Equal(r.SimMin) || !c.SimMax.Equal(r.SimMax) || c.Agree != r.Agree {
 			t.Fatalf("pair (%d,%d): cached sweep %+v != cache-free sweep %+v", r.D1, r.D2, c, r)

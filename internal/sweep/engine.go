@@ -20,7 +20,7 @@ import (
 )
 
 // findCycleBudget is the per-simulation clock budget for steady-state
-// detection, shared by the sequential and parallel paths.
+// detection.
 const findCycleBudget = 1 << 22
 
 // DefaultCacheSize is the engine's cyclic-state cache capacity (total
@@ -362,9 +362,9 @@ func (m Metrics) Table() string {
 
 // Engine is the parallel sweep harness: a bounded worker pool over
 // spec-driven sweeps with a sharded memoization cache of cyclic steady
-// states. Results are always returned in the sequential sweep order,
-// so output is byte-identical to Grid/SectionGrid/SweepTriples/
-// TripleGrid/SweepSpec regardless of worker count or cache state.
+// states. Results are always returned in sweep order, so output is
+// byte-identical to the Reference engine's regardless of worker count,
+// cache state, analytic gate or kernel.
 //
 // Every sweep — pair, triple, section or generic N-stream — routes
 // through one path: the spec is compiled against the worker
@@ -419,6 +419,16 @@ func NewEngine(opt Options) *Engine {
 		e.cache = newBWCache(size)
 	}
 	return e
+}
+
+// Reference returns the reference engine every other configuration is
+// tested against: one worker, cache off, analytic gate off, scalar
+// kernel. Each placement is simulated as requested (never an orbit
+// representative) on the scalar step loop, so its answers depend on
+// neither the canonicalisation theory nor the fast paths.
+func Reference() *Engine {
+	off := false
+	return NewEngine(Options{Workers: 1, CacheSize: -1, Analytic: &off, PackedKernel: &off})
 }
 
 // Options returns the engine's configuration.
@@ -554,8 +564,9 @@ func (e *Engine) run(n int, f func(w *worker, i int)) {
 	wg.Wait()
 }
 
-// Grid is the parallel, cached equivalent of Grid: same pairs, same
-// order, same values.
+// Grid sweeps every non-self-conflicting distance pair of an (m, nc)
+// memory over all m relative starts and compares each pair against
+// the analytic verdict of Theorems 2–7.
 func (e *Engine) Grid(m, nc int) []PairResult {
 	pairs := gridPairs(m, nc)
 	out := make([]PairResult, len(pairs))
@@ -565,19 +576,11 @@ func (e *Engine) Grid(m, nc int) []PairResult {
 	return out
 }
 
-// SweepPair sweeps one pair through the engine (cache and reusable
-// simulator included), returning exactly what SweepPair returns.
-func (e *Engine) SweepPair(m, nc, d1, d2 int) PairResult {
-	var out PairResult
-	e.run(1, func(w *worker, _ int) {
-		out = w.sweepPair(m, nc, d1, d2)
-	})
-	return out
-}
-
-// SectionGrid is the parallel, cached equivalent of SectionGrid: same
-// pairs, same order, same values. Placements are canonicalised under
-// the section-respecting pipeline before the cache lookup.
+// SectionGrid sweeps every non-self-conflicting distance pair of an
+// (m, s, nc) memory, both streams on one CPU, and compares each pair
+// against the section theorems (Theorems 8/9). Placements are
+// canonicalised under the section-respecting pipeline before the cache
+// lookup.
 func (e *Engine) SectionGrid(m, s, nc int) []SectionPairResult {
 	pairs := gridPairs(m, nc)
 	out := make([]SectionPairResult, len(pairs))
@@ -587,96 +590,16 @@ func (e *Engine) SectionGrid(m, s, nc int) []SectionPairResult {
 	return out
 }
 
-// SweepSectionPair sweeps one section pair through the engine,
-// returning exactly what SweepSectionPair returns.
-func (e *Engine) SweepSectionPair(m, s, nc, d1, d2 int) SectionPairResult {
-	var out SectionPairResult
-	e.run(1, func(w *worker, _ int) {
-		out = w.sweepSectionPair(m, s, nc, d1, d2)
-	})
-	return out
-}
-
-// Triples is the parallel, cached equivalent of SweepTriples (the
-// fixed-placement census at starts (0, 1, 2)).
-func (e *Engine) Triples(m, nc int) []TripleResult {
-	return e.TriplesAt(m, nc, [3]int{0, 1, 2})
-}
-
-// TriplesAt runs the fixed-placement triple census at an arbitrary
-// start placement b. Placements that are translates of one another
-// canonicalise to the same cache key, so TriplesAt(m, nc, {t, 1+t,
-// 2+t}) replays the cyclic states of the standard census for free —
-// the translation-orbit benchmark of scripts/bench.sh measures exactly
-// that reuse.
-func (e *Engine) TriplesAt(m, nc int, b [3]int) []TripleResult {
-	triples := tripleList(m)
-	out := make([]TripleResult, len(triples))
-	e.run(len(triples), func(w *worker, i int) {
-		e.pairs.Add(1)
-		d := triples[i]
-		cs := w.compile(TripleCensusSpec(m, nc, d, b))
-		cs.b[0], cs.b[1], cs.b[2] = b[0], b[1], b[2]
-		out[i] = tripleFrom(m, nc, d, b, w.bw(cs, cs.b))
-	})
-	return out
-}
-
-// TripleGrid is the parallel, cached equivalent of TripleGrid: every
-// distance triple over all m^2 relative placements, byte-identical to
-// the sequential path.
-func (e *Engine) TripleGrid(m, nc int) []TripleSweepResult {
-	triples := tripleList(m)
-	out := make([]TripleSweepResult, len(triples))
-	e.run(len(triples), func(w *worker, i int) {
-		out[i] = w.sweepTriple(m, nc, triples[i])
-	})
-	return out
-}
-
-// SweepTriple sweeps one distance triple over all relative placements
-// through the engine, returning exactly what SweepTriple returns.
-func (e *Engine) SweepTriple(m, nc int, d [3]int) TripleSweepResult {
-	var out TripleSweepResult
-	e.run(1, func(w *worker, _ int) {
-		out = w.sweepTriple(m, nc, d)
-	})
-	return out
-}
-
-// SweepSpec sweeps one ConfigSpec through the engine — the parallel,
-// cached equivalent of the sequential SweepSpec function.
-func (e *Engine) SweepSpec(spec ConfigSpec) SpecResult {
-	var out SpecResult
-	e.run(1, func(w *worker, _ int) {
-		e.pairs.Add(1)
-		cs := w.compile(spec)
-		out = sweepSpecWith(spec, func(b []int) rat.Rational { return w.bw(cs, b) })
-	})
-	return out
-}
-
 // SpecGrid sweeps an explicit list of ConfigSpecs through the engine,
-// one work item per spec, results in input order. It is the generic
-// grid for policy sweeps: non-default (priority, mapping) specs do not
-// fit the theorem-comparing Grid/SectionGrid result shapes (those
-// embed fixed-priority analysis), but their capacity bounds are
-// priority-independent, so SpecResult is exact for any policy.
+// one work item per spec, results in input order: every placement of
+// each spec's swept streams against its capacity bound. It is the
+// census route for every shape the theorem-comparing Grid/SectionGrid
+// results do not cover — triples (TripleSpecs), fixed-placement
+// censuses (TripleCensusSpecs), N-stream grids (NStreamSpecs) and
+// non-default (priority, mapping) policies (GridSpecs + WithPolicy).
+// Capacity bounds are priority-independent, so SpecResult is exact for
+// any policy. An invalid spec panics.
 func (e *Engine) SpecGrid(specs []ConfigSpec) []SpecResult {
-	out := make([]SpecResult, len(specs))
-	e.run(len(specs), func(w *worker, i int) {
-		e.pairs.Add(1)
-		cs := w.compile(specs[i])
-		out[i] = sweepSpecWith(specs[i], func(b []int) rat.Rational { return w.bw(cs, b) })
-	})
-	return out
-}
-
-// NStreamGrid is the parallel, cached equivalent of NStreamGrid: every
-// nondecreasing non-self-conflicting distance N-tuple over all
-// m^(N-1) relative placements.
-func (e *Engine) NStreamGrid(m, nc, n int) []SpecResult {
-	specs := nStreamSpecs(m, nc, n)
 	out := make([]SpecResult, len(specs))
 	e.run(len(specs), func(w *worker, i int) {
 		e.pairs.Add(1)
@@ -789,12 +712,6 @@ func (w *worker) sweepSectionPair(m, s, nc, d1, d2 int) SectionPairResult {
 	w.e.pairs.Add(1)
 	cs := w.compile(SectionPairSpec(m, s, nc, d1, d2))
 	return sweepSectionPairWith(m, s, nc, d1, d2, cs.twoStreamBW(w))
-}
-
-func (w *worker) sweepTriple(m, nc int, d [3]int) TripleSweepResult {
-	w.e.pairs.Add(1)
-	cs := w.compile(TripleSpec(m, nc, d))
-	return sweepTripleWith(m, nc, d, cs.tripleBW(w))
 }
 
 // pipelineFor returns the memoised canonicalisation pipeline of an
@@ -945,15 +862,6 @@ func (cs *compiledSpec) key(b []int) cacheKey {
 func (cs *compiledSpec) twoStreamBW(w *worker) func(b2 int) rat.Rational {
 	return func(b2 int) rat.Rational {
 		cs.b[0], cs.b[1] = cs.spec.Streams[0].B, b2
-		return w.bw(cs, cs.b)
-	}
-}
-
-// tripleBW adapts the cached resolver to the triple sweep loop:
-// stream 1 at its fixed start, streams 2 and 3 at (b2, b3).
-func (cs *compiledSpec) tripleBW(w *worker) func(b2, b3 int) rat.Rational {
-	return func(b2, b3 int) rat.Rational {
-		cs.b[0], cs.b[1], cs.b[2] = cs.spec.Streams[0].B, b2, b3
 		return w.bw(cs, cs.b)
 	}
 }

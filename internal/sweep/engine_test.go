@@ -5,19 +5,57 @@ import (
 	"testing"
 
 	"ivm/internal/modmath"
+	"ivm/internal/rat"
 )
 
+// sweepPair sweeps one distance pair on e: the single-pair form of
+// Engine.Grid that the differential tests and fuzz targets drive.
+func sweepPair(e *Engine, m, nc, d1, d2 int) PairResult {
+	var out PairResult
+	e.run(1, func(w *worker, _ int) { out = w.sweepPair(m, nc, d1, d2) })
+	return out
+}
+
+// sweepSectionPair is the single-pair form of Engine.SectionGrid.
+func sweepSectionPair(e *Engine, m, s, nc, d1, d2 int) SectionPairResult {
+	var out SectionPairResult
+	e.run(1, func(w *worker, _ int) { out = w.sweepSectionPair(m, s, nc, d1, d2) })
+	return out
+}
+
+// sweepSpec is the single-spec form of Engine.SpecGrid.
+func sweepSpec(e *Engine, spec ConfigSpec) SpecResult {
+	return e.SpecGrid([]ConfigSpec{spec})[0]
+}
+
+// referenceBW resolves configuration vector v = (d_1..d_N, b_1..b_N)
+// in spec's shape (memory, CPU layout, policies) on the reference
+// engine: a scalar simulation of exactly that placement.
+func referenceBW(t testing.TB, spec ConfigSpec, v []int) rat.Rational {
+	t.Helper()
+	n := len(spec.Streams)
+	fixed := spec
+	fixed.Streams = make([]Stream, n)
+	for i, st := range spec.Streams {
+		fixed.Streams[i] = Stream{D: v[i], B: v[n+i], CPU: st.CPU}
+	}
+	res, err := Reference().Resolve(fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.BW
+}
+
 // The EXPERIMENTS.md cross-validation grid: every (m, n_c) the repo's
-// strongest sequential check runs, now also the parallel acceptance
-// grid.
+// strongest reference check runs, also the parallel acceptance grid.
 var experimentsGrid = []struct{ m, nc int }{{8, 2}, {12, 3}, {13, 4}, {16, 4}}
 
-// Engine.Grid must be indistinguishable from Grid — same results in
-// the same order, hence byte-identical rendered tables — for any
-// worker count and cache configuration.
+// Engine.Grid must be indistinguishable from the reference engine's —
+// same results in the same order, hence byte-identical rendered tables
+// — for any worker count and cache configuration.
 func TestEngineGridByteIdenticalToSequential(t *testing.T) {
 	for _, g := range experimentsGrid {
-		seq := Grid(g.m, g.nc)
+		seq := Reference().Grid(g.m, g.nc)
 		seqTable := Table(seq)
 		for _, opt := range []Options{
 			{Workers: 1, CacheSize: -1},
@@ -28,7 +66,7 @@ func TestEngineGridByteIdenticalToSequential(t *testing.T) {
 			eng := NewEngine(opt)
 			par := eng.Grid(g.m, g.nc)
 			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("m=%d nc=%d opts %+v: parallel results differ from sequential", g.m, g.nc, opt)
+				t.Fatalf("m=%d nc=%d opts %+v: parallel results differ from the reference engine", g.m, g.nc, opt)
 			}
 			if got := Table(par); got != seqTable {
 				t.Fatalf("m=%d nc=%d opts %+v: rendered table differs", g.m, g.nc, opt)
@@ -38,11 +76,11 @@ func TestEngineGridByteIdenticalToSequential(t *testing.T) {
 }
 
 func TestEngineSectionGridMatchesSequential(t *testing.T) {
-	seq := SectionGrid(12, 4, 3)
+	seq := Reference().SectionGrid(12, 4, 3)
 	eng := NewEngine(Options{Workers: 4})
 	par := eng.SectionGrid(12, 4, 3)
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("parallel section grid differs from sequential")
+		t.Fatal("parallel section grid differs from the reference engine")
 	}
 	if SectionTable(seq) != SectionTable(par) {
 		t.Fatal("rendered section tables differ")
@@ -50,13 +88,14 @@ func TestEngineSectionGridMatchesSequential(t *testing.T) {
 }
 
 func TestEngineTriplesMatchesSequential(t *testing.T) {
-	seq := SweepTriples(8, 2)
+	specs := TripleCensusSpecs(8, 2, [3]int{0, 1, 2})
+	seq := Reference().SpecGrid(specs)
 	eng := NewEngine(Options{Workers: 4})
-	par := eng.Triples(8, 2)
+	par := eng.SpecGrid(specs)
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("parallel triples differ from sequential")
+		t.Fatal("parallel triples differ from the reference engine")
 	}
-	if !reflect.DeepEqual(SummariseTriples(seq), SummariseTriples(par)) {
+	if !reflect.DeepEqual(SummariseSpecGrid(seq), SummariseSpecGrid(par)) {
 		t.Fatal("triple summaries differ")
 	}
 }
@@ -112,7 +151,7 @@ func TestEngineCacheDisabled(t *testing.T) {
 // identical and the entry count stays bounded.
 func TestEngineCacheEviction(t *testing.T) {
 	eng := NewEngine(Options{Workers: 2, CacheSize: 1})
-	seq := Grid(12, 3)
+	seq := Reference().Grid(12, 3)
 	par := eng.Grid(12, 3)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("eviction changed results")

@@ -47,7 +47,7 @@ func TestFuzzSeedsCoverRegimes(t *testing.T) {
 }
 
 // FuzzSweepPair differentially tests one pair per input: the cached
-// parallel engine against the cold sequential sweep, the simulated
+// parallel engine against the reference engine, the simulated
 // range against the analytic bounds, and the analysis against the
 // cyclic steady states.
 func FuzzSweepPair(f *testing.F) {
@@ -56,11 +56,11 @@ func FuzzSweepPair(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, mRaw, ncRaw, d1Raw, d2Raw uint8) {
 		m, nc, d1, d2 := decodeFuzzPair(mRaw, ncRaw, d1Raw, d2Raw)
-		seq := SweepPair(m, nc, d1, d2)
+		seq := sweepPair(Reference(), m, nc, d1, d2)
 		eng := NewEngine(Options{Workers: 2, CacheSize: 256})
-		par := eng.SweepPair(m, nc, d1, d2)
+		par := sweepPair(eng, m, nc, d1, d2)
 		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("m=%d nc=%d (%d,%d): engine %+v != sequential %+v", m, nc, d1, d2, par, seq)
+			t.Fatalf("m=%d nc=%d (%d,%d): engine %+v != reference %+v", m, nc, d1, d2, par, seq)
 		}
 		lo, hi := core.PairBandwidthBounds(m, nc, d1, d2)
 		if seq.SimMin.Cmp(lo) < 0 || seq.SimMax.Cmp(hi) > 0 {

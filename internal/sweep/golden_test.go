@@ -43,47 +43,47 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// censusText renders a fixed-placement triple census in a stable
-// format owned by this test (the census has no table renderer).
-func censusText(results []TripleResult) string {
+// censusText renders a fixed-placement triple census (one placement
+// per spec) in a stable format owned by this test.
+func censusText(results []SpecResult) string {
 	var b strings.Builder
 	for _, r := range results {
+		d := r.Spec.Streams
 		fmt.Fprintf(&b, "(%d,%d,%d) bw=%s bound=%s tight=%v\n",
-			r.D[0], r.D[1], r.D[2], r.Bandwidth, r.Bound, r.BoundTight)
+			d[0].D, d[1].D, d[2].D, r.SimMin, r.BoundMin, r.TightStarts == 1)
 	}
 	return b.String()
 }
 
-// The sequential reference paths must keep producing the exact tables
-// the three pre-refactor sweep families produced.
-func TestGoldenSequentialSweeps(t *testing.T) {
-	checkGolden(t, "pair_grid_12_3.golden", Table(Grid(12, 3)))
-	checkGolden(t, "pair_grid_16_4.golden", Table(Grid(16, 4)))
-	checkGolden(t, "triple_grid_6_2.golden", TripleGridTable(TripleGrid(6, 2)))
-	checkGolden(t, "triple_census_8_2.golden", censusText(SweepTriples(8, 2)))
-	checkGolden(t, "section_grid_12_3_3.golden", SectionTable(SectionGrid(12, 3, 3)))
-	checkGolden(t, "section_grid_16_4_4.golden", SectionTable(SectionGrid(16, 4, 4)))
-	checkGolden(t, "nstream_grid_4_2_4.golden", SpecTable(NStreamGrid(4, 2, 4)))
+// checkGoldens holds every census of eng to the golden tables.
+func checkGoldens(t *testing.T, eng *Engine) {
+	t.Helper()
+	checkGolden(t, "pair_grid_12_3.golden", Table(eng.Grid(12, 3)))
+	checkGolden(t, "pair_grid_16_4.golden", Table(eng.Grid(16, 4)))
+	checkGolden(t, "triple_grid_6_2.golden", SpecTable(eng.SpecGrid(TripleSpecs(6, 2))))
+	checkGolden(t, "triple_census_8_2.golden", censusText(eng.SpecGrid(TripleCensusSpecs(8, 2, [3]int{0, 1, 2}))))
+	checkGolden(t, "section_grid_12_3_3.golden", SectionTable(eng.SectionGrid(12, 3, 3)))
+	checkGolden(t, "section_grid_16_4_4.golden", SectionTable(eng.SectionGrid(16, 4, 4)))
+	checkGolden(t, "nstream_grid_4_2_4.golden", SpecTable(eng.SpecGrid(NStreamSpecs(4, 2, 4))))
 }
 
-// The parallel, cached engine must reproduce the same goldens through
-// the generic path, for several worker/cache configurations.
+// The reference engine must keep producing the exact tables the three
+// pre-refactor sweep families produced.
+func TestGoldenSequentialSweeps(t *testing.T) {
+	checkGoldens(t, Reference())
+}
+
+// The parallel, cached engine must reproduce the same goldens, for
+// several worker/cache configurations.
 func TestGoldenEngineSweeps(t *testing.T) {
 	if *updateGolden {
-		t.Skip("goldens are captured from the sequential reference path")
+		t.Skip("goldens are captured from the reference engine")
 	}
 	for _, opt := range []Options{
 		{Workers: 1, CacheSize: -1},
 		{Workers: 4},
 	} {
-		eng := NewEngine(opt)
-		checkGolden(t, "pair_grid_12_3.golden", Table(eng.Grid(12, 3)))
-		checkGolden(t, "pair_grid_16_4.golden", Table(eng.Grid(16, 4)))
-		checkGolden(t, "triple_grid_6_2.golden", TripleGridTable(eng.TripleGrid(6, 2)))
-		checkGolden(t, "triple_census_8_2.golden", censusText(eng.Triples(8, 2)))
-		checkGolden(t, "section_grid_12_3_3.golden", SectionTable(eng.SectionGrid(12, 3, 3)))
-		checkGolden(t, "section_grid_16_4_4.golden", SectionTable(eng.SectionGrid(16, 4, 4)))
-		checkGolden(t, "nstream_grid_4_2_4.golden", SpecTable(eng.NStreamGrid(4, 2, 4)))
+		checkGoldens(t, NewEngine(opt))
 	}
 }
 
@@ -94,7 +94,7 @@ func TestGoldenEngineSweeps(t *testing.T) {
 // fast path may change a single output byte.
 func TestGoldenFastPathOnOff(t *testing.T) {
 	if *updateGolden {
-		t.Skip("goldens are captured from the sequential reference path")
+		t.Skip("goldens are captured from the reference engine")
 	}
 	on, off := true, false
 	for _, tc := range []struct {
@@ -107,14 +107,7 @@ func TestGoldenFastPathOnOff(t *testing.T) {
 		{"analytic_off_packed_off", &off, &off},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := NewEngine(Options{Workers: 4, Analytic: tc.analytic, PackedKernel: tc.kernelP})
-			checkGolden(t, "pair_grid_12_3.golden", Table(eng.Grid(12, 3)))
-			checkGolden(t, "pair_grid_16_4.golden", Table(eng.Grid(16, 4)))
-			checkGolden(t, "triple_grid_6_2.golden", TripleGridTable(eng.TripleGrid(6, 2)))
-			checkGolden(t, "triple_census_8_2.golden", censusText(eng.Triples(8, 2)))
-			checkGolden(t, "section_grid_12_3_3.golden", SectionTable(eng.SectionGrid(12, 3, 3)))
-			checkGolden(t, "section_grid_16_4_4.golden", SectionTable(eng.SectionGrid(16, 4, 4)))
-			checkGolden(t, "nstream_grid_4_2_4.golden", SpecTable(eng.NStreamGrid(4, 2, 4)))
+			checkGoldens(t, NewEngine(Options{Workers: 4, Analytic: tc.analytic, PackedKernel: tc.kernelP}))
 		})
 	}
 }

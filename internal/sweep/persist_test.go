@@ -28,7 +28,7 @@ func (s *recordingSink) Put(rec CacheRecord) {
 func TestCacheSinkEmitsSimulationsOnce(t *testing.T) {
 	sink := &recordingSink{}
 	eng := NewEngine(Options{Workers: 1, CacheSink: sink})
-	res := eng.SweepPair(13, 4, 1, 6)
+	res := sweepPair(eng, 13, 4, 1, 6)
 	m := eng.Metrics()
 	if m.CacheMisses == 0 {
 		t.Fatal("sweep had no misses; sink test needs simulations")
@@ -49,7 +49,7 @@ func TestCacheSinkEmitsSimulationsOnce(t *testing.T) {
 	// before the cache.
 	gatedSink := &recordingSink{}
 	gated := NewEngine(Options{Workers: 1, CacheSink: gatedSink})
-	gated.SweepPair(16, 4, 1, 2)
+	sweepPair(gated, 16, 4, 1, 2)
 	if gm := gated.Metrics(); gm.AnalyticHits == 0 {
 		t.Fatal("expected the 16/4 1(+)2 pair to gate analytically")
 	}
@@ -65,7 +65,7 @@ func TestCacheSinkEmitsSimulationsOnce(t *testing.T) {
 // (or the gate) with values byte-identical to A's.
 func TestCacheRecordsSeedRoundTrip(t *testing.T) {
 	a := NewEngine(Options{Workers: 2})
-	wantGrid := a.TripleGrid(7, 3)
+	wantGrid := a.SpecGrid(TripleSpecs(7, 3))
 	records := a.CacheRecords()
 	if len(records) == 0 {
 		t.Fatal("engine A cached nothing")
@@ -85,7 +85,7 @@ func TestCacheRecordsSeedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gotGrid := b.TripleGrid(7, 3)
+	gotGrid := b.SpecGrid(TripleSpecs(7, 3))
 	if len(gotGrid) != len(wantGrid) {
 		t.Fatalf("grid sizes differ: %d vs %d", len(gotGrid), len(wantGrid))
 	}

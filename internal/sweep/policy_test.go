@@ -10,7 +10,7 @@ import (
 )
 
 // The policy differential campaign: every (priority, mapping) pair is
-// held to three-way agreement — cold sequential sweep vs. cold engine
+// held to three-way agreement — reference engine vs. cold engine
 // vs. warm engine second pass — with zero mismatches, per-family cache
 // traffic isolation, provenance conservation and packed-vs-scalar
 // engine equivalence. This suite is the executable form of the
@@ -87,7 +87,7 @@ func TestPolicyFamilyNames(t *testing.T) {
 }
 
 // TestDifferentialPolicies is the zero-mismatch campaign gate: for every
-// (priority, mapping) combo, the cold sequential sweep, the cold engine
+// (priority, mapping) combo, the reference engine, the cold engine
 // and a warm second engine pass must agree exactly, the combo's family
 // must see cache traffic only under its own name, and rotating-priority
 // families must show a nonzero hit rate (their orbits collapse like
@@ -98,20 +98,17 @@ func TestDifferentialPolicies(t *testing.T) {
 		t.Run(fmt.Sprintf("%v_%v", combo.priority, combo.mapping), func(t *testing.T) {
 			specs := policySpecs(combo.priority, combo.mapping)
 			eng := NewEngine(Options{Workers: 4})
-			for _, spec := range specs {
-				cold := SweepSpec(spec)
-				got := eng.SweepSpec(spec)
-				if !reflect.DeepEqual(cold, got) {
-					t.Fatalf("%s %+v: engine %+v != sequential %+v", spec.Family(), spec, got, cold)
+			cold := Reference().SpecGrid(specs)
+			for i, got := range eng.SpecGrid(specs) {
+				if !reflect.DeepEqual(cold[i], got) {
+					t.Fatalf("%s %+v: engine %+v != reference %+v", specs[i].Family(), specs[i], got, cold[i])
 				}
 			}
 			// Second pass: same specs, warm cache — still byte-equal.
 			firstMetrics := eng.Metrics()
-			for _, spec := range specs {
-				cold := SweepSpec(spec)
-				got := eng.SweepSpec(spec)
-				if !reflect.DeepEqual(cold, got) {
-					t.Fatalf("warm %s %+v: engine %+v != sequential %+v", spec.Family(), spec, got, cold)
+			for i, got := range eng.SpecGrid(specs) {
+				if !reflect.DeepEqual(cold[i], got) {
+					t.Fatalf("warm %s %+v: engine %+v != reference %+v", specs[i].Family(), specs[i], got, cold[i])
 				}
 			}
 			warmMetrics := eng.Metrics()
@@ -157,11 +154,10 @@ func TestDifferentialPackedVsScalarPolicies(t *testing.T) {
 			specs := policySpecs(combo.priority, combo.mapping)
 			scalar := NewEngine(Options{Workers: 2, PackedKernel: &off})
 			packed := NewEngine(Options{Workers: 2, PackedKernel: &on})
-			for _, spec := range specs {
-				a := scalar.SweepSpec(spec)
-				b := packed.SweepSpec(spec)
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("%s %+v: packed %+v != scalar %+v", spec.Family(), spec, b, a)
+			a, b := scalar.SpecGrid(specs), packed.SpecGrid(specs)
+			for i, spec := range specs {
+				if !reflect.DeepEqual(a[i], b[i]) {
+					t.Fatalf("%s %+v: packed %+v != scalar %+v", spec.Family(), spec, b[i], a[i])
 				}
 			}
 			if n := packed.Metrics().PackedFallbacks; n != 0 {
@@ -197,9 +193,7 @@ func TestPolicyProvenanceConservation(t *testing.T) {
 			prov := NewProvenance(64)
 			eng := NewEngine(Options{Workers: 2, Analytic: &on, Provenance: prov})
 			specs := policySpecs(combo.priority, combo.mapping)
-			for _, spec := range specs {
-				eng.SweepSpec(spec)
-			}
+			eng.SpecGrid(specs)
 			snap := prov.Snapshot()
 			for _, name := range snap.FamilyNames() {
 				f := snap.Families[name]
@@ -217,7 +211,7 @@ func TestPolicyProvenanceConservation(t *testing.T) {
 }
 
 // TestPolicyResolveMatchesColdSim pins Engine.Resolve per policy against
-// the cold single-placement simulation, and a translated second resolve
+// the reference engine's single-placement simulation, and a translated second resolve
 // against the cache.
 func TestPolicyResolveMatchesColdSim(t *testing.T) {
 	for _, combo := range policyCombos {
@@ -227,7 +221,7 @@ func TestPolicyResolveMatchesColdSim(t *testing.T) {
 			spec := SectionPairSpec(12, 3, 2, 1, 5).WithPolicy(combo.priority, combo.mapping)
 			spec.Streams[1].Sweep = false
 			spec.Streams[1].B = 2
-			cold := simulateSpecVec(spec, []int{1, 5, 0, 2})
+			cold := referenceBW(t, spec, []int{1, 5, 0, 2})
 			first, err := eng.Resolve(spec)
 			if err != nil {
 				t.Fatal(err)

@@ -64,7 +64,7 @@ func TestProvenanceConservationPairs(t *testing.T) {
 func TestProvenanceConservationTriples(t *testing.T) {
 	prov := NewProvenance(0)
 	eng := NewEngine(Options{Workers: 3, Provenance: prov})
-	eng.TripleGrid(7, 2)
+	eng.SpecGrid(TripleSpecs(7, 2))
 	checkConservation(t, eng, prov)
 }
 
@@ -81,7 +81,7 @@ func TestProvenanceConservationSections(t *testing.T) {
 func TestProvenanceConservationStream4(t *testing.T) {
 	prov := NewProvenance(0)
 	eng := NewEngine(Options{Workers: 3, Provenance: prov})
-	eng.NStreamGrid(4, 1, 4)
+	eng.SpecGrid(NStreamSpecs(4, 1, 4))
 	checkConservation(t, eng, prov)
 	f, ok := prov.Snapshot().Families["stream4"]
 	if !ok {
@@ -179,7 +179,7 @@ func TestProvenanceSnapshotDeterministic(t *testing.T) {
 		prov := NewProvenance(0)
 		eng := NewEngine(Options{Workers: 1, Provenance: prov})
 		eng.Grid(12, 3)
-		eng.TripleGrid(7, 2)
+		eng.SpecGrid(TripleSpecs(7, 2))
 		return prov.Snapshot()
 	}
 	a, b := run(), run()

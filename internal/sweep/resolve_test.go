@@ -10,7 +10,7 @@ import (
 // an analytically provable pair resolves as PathAnalytic with its
 // theorem identifier, a census placement simulates first (PathSimPacked
 // under the default kernel) and then hits the cache, and every route
-// returns the value the cold sequential path computes.
+// returns the value the reference engine computes.
 func TestResolvePaths(t *testing.T) {
 	eng := NewEngine(Options{Workers: 1})
 
@@ -36,9 +36,9 @@ func TestResolvePaths(t *testing.T) {
 
 	// A triple census placement has no gate: first resolution
 	// simulates, the second hits the cache, both byte-identical to the
-	// cold path.
+	// reference engine.
 	spec := TripleCensusSpec(13, 4, [3]int{1, 2, 6}, [3]int{0, 1, 2})
-	cold := simulateSpecVec(spec, []int{1, 2, 6, 0, 1, 2})
+	cold := referenceBW(t, spec, []int{1, 2, 6, 0, 1, 2})
 	first, err := eng.Resolve(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestResolvePaths(t *testing.T) {
 		t.Fatalf("simulated resolve canonical %v", first.Canonical)
 	}
 	if !first.BW.Equal(cold) {
-		t.Fatalf("simulated resolve b_eff %s, cold path %s", first.BW, cold)
+		t.Fatalf("simulated resolve b_eff %s, reference %s", first.BW, cold)
 	}
 	second, err := eng.Resolve(spec)
 	if err != nil {
@@ -63,7 +63,7 @@ func TestResolvePaths(t *testing.T) {
 		t.Fatalf("second census resolve path %v, want cache", second.Path)
 	}
 	if !second.BW.Equal(cold) {
-		t.Fatalf("cached resolve b_eff %s, cold path %s", second.BW, cold)
+		t.Fatalf("cached resolve b_eff %s, reference %s", second.BW, cold)
 	}
 	// The cache hit returns the same orbit representative.
 	if len(second.Canonical) != len(first.Canonical) {
@@ -104,7 +104,7 @@ func TestResolveBatchOrderAndSplit(t *testing.T) {
 		t.Fatalf("batch returned %d results for %d specs", len(got), len(specs))
 	}
 	for i, spec := range specs {
-		cold := SweepSpec(spec)
+		cold := sweepSpec(Reference(), spec)
 		if !got[i].BW.Equal(cold.SimMin) || !cold.SimMin.Equal(cold.SimMax) {
 			t.Fatalf("batch item %d: b_eff %s, cold %s..%s", i, got[i].BW, cold.SimMin, cold.SimMax)
 		}

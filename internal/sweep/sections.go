@@ -11,7 +11,7 @@ import (
 
 // Section-system sweeps: two ports of one CPU against an (m, s, n_c)
 // memory, validating the section results (Theorems 8/9, Eq. 31/32)
-// exactly as Grid does for the sectionless theorems.
+// exactly as Engine.Grid does for the sectionless theorems.
 
 // SectionPairResult compares section-theory predictions and simulation
 // for one distance pair.
@@ -30,13 +30,9 @@ type SectionPairResult struct {
 	Agree bool
 }
 
-// SweepSectionPair sweeps all relative starts of one pair. The
-// bandwidth resolver is the cold spec path; the engine substitutes the
-// memo cache with the section-respecting canonicalisation pipeline.
-func SweepSectionPair(m, s, nc, d1, d2 int) SectionPairResult {
-	return sweepSectionPairWith(m, s, nc, d1, d2, coldTwoStreamBW(SectionPairSpec(m, s, nc, d1, d2)))
-}
-
+// sweepSectionPairWith sweeps all relative starts of one section pair
+// through the bandwidth resolver bw (stream 2 at b2) and checks every
+// claim the section theorems make about them.
 func sweepSectionPairWith(m, s, nc, d1, d2 int, bw func(b2 int) rat.Rational) SectionPairResult {
 	res := SectionPairResult{M: m, S: s, NC: nc, D1: d1, D2: d2, Agree: true}
 	res.TheoryFree, res.TheoryStart = core.SectionConflictFree(m, s, nc, d1, d2)
@@ -65,18 +61,6 @@ func sweepSectionPairWith(m, s, nc, d1, d2 int, bw func(b2 int) rat.Rational) Se
 	return res
 }
 
-// SectionGrid sweeps every non-self-conflicting pair of an (m, s, n_c)
-// system. Sequential reference path; Engine.SectionGrid is the
-// parallel equivalent.
-func SectionGrid(m, s, nc int) []SectionPairResult {
-	pairs := gridPairs(m, nc)
-	out := make([]SectionPairResult, len(pairs))
-	for i, p := range pairs {
-		out[i] = SweepSectionPair(m, s, nc, p[0], p[1])
-	}
-	return out
-}
-
 // SectionTable renders a section grid.
 func SectionTable(results []SectionPairResult) string {
 	t := &textplot.Table{Header: []string{"d1", "d2", "theory free@", "sim free starts", "agree"}}
@@ -89,5 +73,3 @@ func SectionTable(results []SectionPairResult) string {
 	}
 	return t.String()
 }
-
-// Three-stream sweeps live in triples.go.

@@ -13,7 +13,7 @@ func TestSectionGridAgrees(t *testing.T) {
 	for _, g := range []struct{ m, s, nc int }{
 		{12, 2, 2}, {12, 3, 3}, {16, 4, 4}, {8, 2, 2},
 	} {
-		results := SectionGrid(g.m, g.s, g.nc)
+		results := Reference().SectionGrid(g.m, g.s, g.nc)
 		if len(results) == 0 {
 			t.Fatalf("m=%d s=%d nc=%d: empty grid", g.m, g.s, g.nc)
 		}
@@ -30,7 +30,7 @@ func TestSectionGridAgrees(t *testing.T) {
 }
 
 func TestSectionTableRendering(t *testing.T) {
-	results := SectionGrid(8, 2, 2)
+	results := Reference().SectionGrid(8, 2, 2)
 	out := SectionTable(results)
 	if !strings.Contains(out, "theory free@") || !strings.Contains(out, "sim free starts") {
 		t.Fatalf("table:\n%s", out)
@@ -39,7 +39,7 @@ func TestSectionTableRendering(t *testing.T) {
 
 // Fig. 7's pair appears in the section grid as theory-free at offset 3.
 func TestSectionGridContainsFig7(t *testing.T) {
-	r := SweepSectionPair(12, 2, 2, 1, 1)
+	r := sweepSectionPair(Reference(), 12, 2, 2, 1, 1)
 	if !r.TheoryFree || r.TheoryStart != 3 {
 		t.Fatalf("Fig. 7 pair: %+v", r)
 	}
@@ -51,14 +51,14 @@ func TestSectionGridContainsFig7(t *testing.T) {
 	}
 }
 
-// Engine.SectionGrid must stay byte-identical to SectionGrid for any
-// worker count and cache configuration — the section cache only ever
+// Engine.SectionGrid must stay byte-identical to the reference engine's
+// for any worker count and cache configuration — the section cache only ever
 // collapses placements that are isomorphic under the section pipeline
 // (full unit group by default, validated by the section-units
 // differential campaign).
 func TestEngineSectionGridByteIdenticalToSequential(t *testing.T) {
 	for _, g := range []struct{ m, s, nc int }{{12, 3, 3}, {8, 2, 2}} {
-		seq := SectionGrid(g.m, g.s, g.nc)
+		seq := Reference().SectionGrid(g.m, g.s, g.nc)
 		seqTable := SectionTable(seq)
 		for _, opt := range []Options{
 			{Workers: 1, CacheSize: -1},
@@ -105,8 +105,8 @@ func TestEngineSectionGridCacheAccounting(t *testing.T) {
 }
 
 // The section-units campaign (test half of `ivmablate -study
-// section-units`): on every EXPERIMENTS.md section grid, the cold
-// sequential sweep, the default full-unit-group engine and the engine
+// section-units`): on every EXPERIMENTS.md section grid, the reference
+// engine, the default full-unit-group engine and the engine
 // restricted to the conservative u ≡ 1 (mod s) subgroup must agree
 // result-for-result, and the full group must hit the cache at least as
 // often as the subgroup.
@@ -114,7 +114,7 @@ func TestSectionUnitsCampaign(t *testing.T) {
 	for _, g := range []struct{ m, s, nc int }{
 		{12, 2, 2}, {12, 3, 3}, {16, 4, 4}, {8, 2, 2},
 	} {
-		cold := SectionGrid(g.m, g.s, g.nc)
+		cold := Reference().SectionGrid(g.m, g.s, g.nc)
 		// One worker each: concurrent workers can both miss the same key
 		// (results identical, counters noisy), and the hit-rate comparison
 		// below needs deterministic counters.
@@ -135,7 +135,7 @@ func TestSectionUnitsCampaign(t *testing.T) {
 }
 
 // The randomised half of the campaign: seeded random sectioned pairs
-// through both canonicalisation groups against the cold sweep.
+// through both canonicalisation groups against the reference engine.
 func TestSectionUnitsCampaignRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(19850806))
 	full := NewEngine(Options{Workers: 2})
@@ -147,19 +147,19 @@ func TestSectionUnitsCampaignRandom(t *testing.T) {
 		s := divs[rng.Intn(len(divs))]
 		nc := 1 + rng.Intn(4)
 		d1, d2 := rng.Intn(m), rng.Intn(m)
-		cold := SweepSectionPair(m, s, nc, d1, d2)
-		if got := full.SweepSectionPair(m, s, nc, d1, d2); !reflect.DeepEqual(cold, got) {
+		cold := sweepSectionPair(Reference(), m, s, nc, d1, d2)
+		if got := sweepSectionPair(full, m, s, nc, d1, d2); !reflect.DeepEqual(cold, got) {
 			t.Fatalf("trial %d m=%d s=%d nc=%d (%d,%d): full-unit engine differs from cold sweep",
 				trial, m, s, nc, d1, d2)
 		}
-		if got := sub.SweepSectionPair(m, s, nc, d1, d2); !reflect.DeepEqual(cold, got) {
+		if got := sweepSectionPair(sub, m, s, nc, d1, d2); !reflect.DeepEqual(cold, got) {
 			t.Fatalf("trial %d m=%d s=%d nc=%d (%d,%d): subgroup engine differs from cold sweep",
 				trial, m, s, nc, d1, d2)
 		}
 	}
 }
 
-// Random sectioned pairs: cached engine vs cold sequential sweep,
+// Random sectioned pairs: cached engine vs the reference engine,
 // across random (m, s, n_c, d1, d2) — the property that cached equals
 // uncached everywhere, not just on the curated grids.
 func TestDifferentialRandomSections(t *testing.T) {
@@ -171,17 +171,17 @@ func TestDifferentialRandomSections(t *testing.T) {
 		s := divs[rng.Intn(len(divs))]
 		nc := 1 + rng.Intn(4)
 		d1, d2 := rng.Intn(m), rng.Intn(m)
-		seq := SweepSectionPair(m, s, nc, d1, d2)
-		par := eng.SweepSectionPair(m, s, nc, d1, d2)
+		seq := sweepSectionPair(Reference(), m, s, nc, d1, d2)
+		par := sweepSectionPair(eng, m, s, nc, d1, d2)
 		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("trial %d m=%d s=%d nc=%d (%d,%d): engine %+v != sequential %+v",
+			t.Fatalf("trial %d m=%d s=%d nc=%d (%d,%d): engine %+v != reference %+v",
 				trial, m, s, nc, d1, d2, par, seq)
 		}
 	}
 }
 
 // FuzzSweepSectionPair differentially tests one sectioned pair per
-// input: the cached parallel engine against the cold sequential sweep.
+// input: the cached parallel engine against the reference engine.
 func FuzzSweepSectionPair(f *testing.F) {
 	seeds := [][5]uint8{
 		{11, 1, 2, 1, 1}, // m=12 s=2 nc=3 (1,1): Fig. 7's pair
@@ -198,29 +198,29 @@ func FuzzSweepSectionPair(f *testing.F) {
 		s := divs[int(sRaw)%len(divs)]
 		nc := 1 + int(ncRaw%4)
 		d1, d2 := int(d1Raw)%m, int(d2Raw)%m
-		seq := SweepSectionPair(m, s, nc, d1, d2)
+		seq := sweepSectionPair(Reference(), m, s, nc, d1, d2)
 		eng := NewEngine(Options{Workers: 2, CacheSize: 256})
-		par := eng.SweepSectionPair(m, s, nc, d1, d2)
+		par := sweepSectionPair(eng, m, s, nc, d1, d2)
 		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("m=%d s=%d nc=%d (%d,%d): engine %+v != sequential %+v", m, s, nc, d1, d2, par, seq)
+			t.Fatalf("m=%d s=%d nc=%d (%d,%d): engine %+v != reference %+v", m, s, nc, d1, d2, par, seq)
 		}
 	})
 }
 
 func TestTripleSweepBoundsHold(t *testing.T) {
-	results := SweepTriples(8, 2)
-	s := SummariseTriples(results)
+	results := Reference().SpecGrid(TripleCensusSpecs(8, 2, [3]int{0, 1, 2}))
+	s := SummariseSpecGrid(results)
 	if s.Violations != 0 {
 		t.Fatalf("%d capacity-bound violations", s.Violations)
 	}
-	if s.Triples == 0 || s.Tight == 0 {
+	if s.Triples == 0 || s.TightStarts == 0 {
 		t.Fatalf("summary %+v: expected some tight triples", s)
 	}
 	// All-unit-stride triple with spread starts is conflict-free: bound
 	// 3, attained.
 	for _, r := range results {
-		if r.D == [3]int{1, 1, 1} {
-			if !r.BoundTight || r.Bandwidth.Float() != 3 {
+		if d := r.Spec.Streams; d[0].D == 1 && d[1].D == 1 && d[2].D == 1 {
+			if r.TightStarts != 1 || r.SimMin.Float() != 3 {
 				t.Fatalf("unit triple: %+v", r)
 			}
 		}
@@ -231,15 +231,14 @@ func TestTripleSweepXMPScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16-bank triple sweep")
 	}
-	results := SweepTriples(16, 4)
-	s := SummariseTriples(results)
+	s := SummariseSpecGrid(Reference().SpecGrid(TripleCensusSpecs(16, 4, [3]int{0, 1, 2})))
 	if s.Violations != 0 {
 		t.Fatalf("%d violations at X-MP scale", s.Violations)
 	}
 	// The bound should be attained reasonably often (conflict-free and
 	// saturated triples) but not always (barrier triples sit strictly
 	// inside it).
-	if s.Tight == 0 || s.Tight == s.Triples {
-		t.Fatalf("tightness degenerate: %d/%d", s.Tight, s.Triples)
+	if s.TightStarts == 0 || s.TightStarts == s.Triples {
+		t.Fatalf("tightness degenerate: %d/%d", s.TightStarts, s.Triples)
 	}
 }

@@ -15,11 +15,13 @@ import (
 // is one machine with p ports, so stride pairs, stride triples and the
 // sectioned Theorem 8/9 pairs are all the same object at different N
 // and CPU layouts; ConfigSpec expresses that object directly, and one
-// engine path (worker.bw) sweeps, canonicalises and caches every
-// family through it. The pair/triple/section sweep entry points are
-// kept as thin result-shaping layers over this spec — their tables are
+// engine path (worker.resolve) sweeps, canonicalises and caches every
+// family through it. Engine.Grid and Engine.SectionGrid shape pair
+// and section specs into theorem-comparing results; every other census
+// is Engine.SpecGrid over a spec generator (GridSpecs, TripleSpecs,
+// TripleCensusSpecs, NStreamSpecs). The rendered tables are
 // byte-identical to the pre-spec implementation, which the golden
-// tests under testdata/ pin.
+// tests under testdata/ pin on Reference() and on multi-worker engines.
 
 // Stream is one access stream of a ConfigSpec: stride D issued from
 // CPU, starting at bank B. When Sweep is set, grid sweeps iterate the
@@ -253,50 +255,12 @@ func describeSpec(spec ConfigSpec, v []int) string {
 	return fmt.Sprintf("%s m=%d s=%d nc=%d v=%v", spec.Family(), spec.M, spec.S, spec.NC, v)
 }
 
-// simulateSpecVec is the cold path shared by every sequential sweep: a
-// fresh system per placement, simulating configuration vector v.
-func simulateSpecVec(spec ConfigSpec, v []int) rat.Rational {
-	sys := memsys.New(specConfig(spec))
-	addSpecStreams(sys, spec, v)
-	c, err := sys.FindCycle(findCycleBudget)
-	if err != nil {
-		panic(fmt.Sprintf("sweep: %s: %v", describeSpec(spec, v), err))
-	}
-	return c.EffectiveBandwidth()
-}
-
-// coldSpecBW adapts simulateSpecVec to a start-vector resolver with
-// the spec's own distances, for the sequential family sweeps.
-func coldSpecBW(spec ConfigSpec) func(b []int) rat.Rational {
-	n := len(spec.Streams)
-	v := make([]int, 2*n)
-	for i, st := range spec.Streams {
-		v[i] = st.D
-	}
-	return func(b []int) rat.Rational {
-		copy(v[n:], b)
-		return simulateSpecVec(spec, v)
-	}
-}
-
-// coldTwoStreamBW is coldSpecBW shaped for the pair/section sweep
-// loops: stream 1 at its fixed start, stream 2 at b2.
-func coldTwoStreamBW(spec ConfigSpec) func(b2 int) rat.Rational {
-	bw := coldSpecBW(spec)
-	b := make([]int, 2)
-	b[0] = spec.Streams[0].B
-	return func(b2 int) rat.Rational {
-		b[1] = b2
-		return bw(b)
-	}
-}
-
 // --- The generic sweep --------------------------------------------------
 
 // SpecResult compares the simulated cyclic states of one ConfigSpec —
 // over every placement of its swept streams — with the per-placement
-// capacity bounds of core.MultiStreamBound; the N-stream analogue of
-// TripleSweepResult.
+// capacity bounds of core.MultiStreamBound. A spec without swept
+// streams (a census placement) folds to a single start.
 type SpecResult struct {
 	Spec ConfigSpec
 	// SimMin/SimMax are the extreme cyclic-state bandwidths over the
@@ -376,16 +340,6 @@ func sweepSpecWith(spec ConfigSpec, bw func(b []int) rat.Rational) SpecResult {
 	return res
 }
 
-// SweepSpec sweeps one ConfigSpec sequentially (cold simulation per
-// placement). Engine.SweepSpec is the parallel, cached equivalent and
-// returns byte-identical results.
-func SweepSpec(spec ConfigSpec) SpecResult {
-	if err := spec.Validate(); err != nil {
-		panic("sweep: " + err.Error())
-	}
-	return sweepSpecWith(spec, coldSpecBW(spec))
-}
-
 // nStreamDistances enumerates the nondecreasing distance N-tuples of
 // the N-stream grid in sweep order, skipping self-conflicting streams
 // (return number < n_c) exactly as gridPairs does.
@@ -413,26 +367,60 @@ func nStreamDistances(m, nc, n int) [][]int {
 	return out
 }
 
-// NStreamGrid sweeps every nondecreasing non-self-conflicting distance
-// N-tuple of an (m, n_c) memory, one stream per CPU, over all m^(N-1)
-// relative placements. For N = 2 and 3 the specs fall into the "pair"
-// and "triple" cache families, so the cyclic states are shared with
-// the dedicated grids. Sequential reference path; Engine.NStreamGrid
-// is the parallel, cached equivalent.
-func NStreamGrid(m, nc, n int) []SpecResult {
-	specs := nStreamSpecs(m, nc, n)
-	out := make([]SpecResult, len(specs))
-	for i, spec := range specs {
-		out[i] = SweepSpec(spec)
-	}
-	return out
-}
-
-func nStreamSpecs(m, nc, n int) []ConfigSpec {
+// NStreamSpecs lists every nondecreasing non-self-conflicting distance
+// N-tuple of an (m, n_c) memory as an NStreamSpec (one stream per CPU,
+// all m^(N-1) relative placements), in sweep order. For N = 2 and 3 the
+// specs fall into the "pair" and "triple" cache families, so their
+// cyclic states are shared with the dedicated grids.
+func NStreamSpecs(m, nc, n int) []ConfigSpec {
 	ds := nStreamDistances(m, nc, n)
 	specs := make([]ConfigSpec, len(ds))
 	for i, d := range ds {
 		specs[i] = NStreamSpec(m, nc, d)
+	}
+	return specs
+}
+
+// tripleList enumerates the unordered distance triples in sweep order.
+// Unlike nStreamDistances it keeps self-conflicting strides: the
+// capacity bound covers them.
+func tripleList(m int) [][3]int {
+	var out [][3]int
+	for d1 := 0; d1 < m; d1++ {
+		for d2 := d1; d2 < m; d2++ {
+			for d3 := d2; d3 < m; d3++ {
+				out = append(out, [3]int{d1, d2, d3})
+			}
+		}
+	}
+	return out
+}
+
+// TripleSpecs lists every unordered distance triple of an (m, n_c)
+// memory as a TripleSpec, in sweep order: the all-placements triple
+// grid (b1 = 0; b2, b3 swept over [0, m)), the three-stream analogue of
+// the pair grid. The cache canonicalises each placement under the unit
+// group of Z_m, so only one placement per orbit is simulated
+// (docs/CACHING.md).
+func TripleSpecs(m, nc int) []ConfigSpec {
+	triples := tripleList(m)
+	specs := make([]ConfigSpec, len(triples))
+	for i, d := range triples {
+		specs[i] = TripleSpec(m, nc, d)
+	}
+	return specs
+}
+
+// TripleCensusSpecs lists every unordered distance triple at the one
+// fixed placement b (TripleCensusSpec), in sweep order: the cheap
+// regime scan of Figs. 8–10, one placement per triple. A census at a
+// translate (t, 1+t, 2+t) of the standard (0, 1, 2) is answered from
+// the standard census's cache entries.
+func TripleCensusSpecs(m, nc int, b [3]int) []ConfigSpec {
+	triples := tripleList(m)
+	specs := make([]ConfigSpec, len(triples))
+	for i, d := range triples {
+		specs[i] = TripleCensusSpec(m, nc, d, b)
 	}
 	return specs
 }
@@ -455,8 +443,8 @@ func GridSpecs(m, s, nc int) []ConfigSpec {
 	return out
 }
 
-// SpecTable renders an N-stream grid sweep as an aligned text table;
-// all results must share one stream count.
+// SpecTable renders a SpecGrid census as an aligned text table; all
+// results must share one stream count.
 func SpecTable(results []SpecResult) string {
 	if len(results) == 0 {
 		return ""
@@ -485,7 +473,23 @@ func SpecTable(results []SpecResult) string {
 	return t.String()
 }
 
-// SummariseSpecGrid reduces an N-stream grid sweep.
+// TripleGridSummary aggregates a SpecGrid census. The name is
+// historical: Triples counts specs of any stream count.
+type TripleGridSummary struct {
+	M, NC   int
+	Triples int
+	Starts  int // placements resolved across all specs
+	// TightSomewhere counts specs attaining their capacity bound from
+	// at least one placement; TightStarts counts the attaining
+	// placements themselves.
+	TightSomewhere int
+	TightStarts    int
+	// Violations counts placements whose simulated bandwidth exceeded
+	// the capacity bound — must be zero.
+	Violations int
+}
+
+// SummariseSpecGrid reduces a SpecGrid census.
 func SummariseSpecGrid(results []SpecResult) TripleGridSummary {
 	var s TripleGridSummary
 	s.Triples = len(results)

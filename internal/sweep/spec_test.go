@@ -55,22 +55,30 @@ func TestSpecValidate(t *testing.T) {
 // range as the dedicated pair sweep — they enumerate the same
 // placements of the same streams.
 func TestSweepSpecMatchesPairSweep(t *testing.T) {
-	pair := SweepPair(8, 2, 1, 2)
-	spec := SweepSpec(PairSpec(8, 2, 1, 2))
+	ref := Reference()
+	pair := sweepPair(ref, 8, 2, 1, 2)
+	spec := sweepSpec(ref, PairSpec(8, 2, 1, 2))
 	if !spec.SimMin.Equal(pair.SimMin) || !spec.SimMax.Equal(pair.SimMax) || spec.Starts != pair.Starts {
 		t.Fatalf("generic %+v != pair sweep %+v", spec, pair)
 	}
-	triple := SweepTriple(6, 2, [3]int{1, 2, 3})
-	tspec := SweepSpec(TripleSpec(6, 2, [3]int{1, 2, 3}))
-	if !tspec.SimMin.Equal(triple.SimMin) || !tspec.SimMax.Equal(triple.SimMax) ||
-		!tspec.BoundMin.Equal(triple.BoundMin) || !tspec.BoundMax.Equal(triple.BoundMax) ||
-		tspec.Starts != triple.Starts || tspec.TightStarts != triple.TightStarts {
-		t.Fatalf("generic %+v != triple sweep %+v", tspec, triple)
+	// The triple grid's rows are the same spec sweeps.
+	tspec := sweepSpec(ref, TripleSpec(6, 2, [3]int{1, 2, 3}))
+	found := false
+	for _, row := range ref.SpecGrid(TripleSpecs(6, 2)) {
+		if d := row.Spec.Streams; d[0].D == 1 && d[1].D == 2 && d[2].D == 3 {
+			found = true
+			if !reflect.DeepEqual(row, tspec) {
+				t.Fatalf("generic %+v != triple grid row %+v", tspec, row)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("triple (1,2,3) missing from the triple grid")
 	}
 }
 
-// Engine.SweepSpec must be indistinguishable from the sequential
-// SweepSpec across spec shapes, worker counts and cache configurations.
+// Engine.SpecGrid must be indistinguishable from the reference engine
+// across spec shapes, worker counts and cache configurations.
 func TestEngineSweepSpecMatchesSequential(t *testing.T) {
 	specs := []ConfigSpec{
 		PairSpec(8, 2, 2, 6),
@@ -83,15 +91,15 @@ func TestEngineSweepSpecMatchesSequential(t *testing.T) {
 		}},
 	}
 	for _, spec := range specs {
-		seq := SweepSpec(spec)
+		seq := sweepSpec(Reference(), spec)
 		for _, opt := range []Options{
 			{Workers: 1, CacheSize: -1},
 			{Workers: 4},
 		} {
 			eng := NewEngine(opt)
-			par := eng.SweepSpec(spec)
+			par := sweepSpec(eng, spec)
 			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("spec %+v opts %+v: engine %+v != sequential %+v", spec, opt, par, seq)
+				t.Fatalf("spec %+v opts %+v: engine %+v != reference %+v", spec, opt, par, seq)
 			}
 		}
 		if seq.Violations != 0 {
@@ -103,12 +111,13 @@ func TestEngineSweepSpecMatchesSequential(t *testing.T) {
 // The two-stream N-stream grid is the pair grid in generic clothing:
 // same distance tuples in the same order, same placements, and —
 // because both compile into the "pair" cache family — a second pass
-// through NStreamGrid must be answered entirely from the cache.
+// through SpecGrid(NStreamSpecs) must be answered entirely from the
+// cache.
 func TestNStreamGridSharesPairCache(t *testing.T) {
 	eng := NewEngine(Options{Workers: 2})
 	pairs := eng.Grid(8, 2)
 	missesAfterGrid := eng.Metrics().Family("pair").Misses
-	results := eng.NStreamGrid(8, 2, 2)
+	results := eng.SpecGrid(NStreamSpecs(8, 2, 2))
 	if len(results) != len(pairs) {
 		t.Fatalf("N-stream grid has %d tuples, pair grid %d", len(results), len(pairs))
 	}
@@ -139,7 +148,7 @@ func TestNStreamGridSharesPairCache(t *testing.T) {
 // rendered table.
 func TestEngineNStreamGridFourStreams(t *testing.T) {
 	eng := NewEngine(Options{Workers: 4})
-	results := eng.NStreamGrid(4, 1, 4)
+	results := eng.SpecGrid(NStreamSpecs(4, 1, 4))
 	if len(results) == 0 {
 		t.Fatal("empty four-stream grid")
 	}
@@ -176,9 +185,10 @@ func TestEngineNStreamGridFourStreams(t *testing.T) {
 // must match a cold simulation of the translated placements.
 func TestTriplesAtTranslationReuse(t *testing.T) {
 	eng := NewEngine(Options{Workers: 2})
-	base := eng.Triples(6, 2)
+	base := eng.SpecGrid(TripleCensusSpecs(6, 2, [3]int{0, 1, 2}))
 	m0 := eng.Metrics().Family("triple")
-	shifted := eng.TriplesAt(6, 2, [3]int{3, 4, 5})
+	translated := TripleCensusSpecs(6, 2, [3]int{3, 4, 5})
+	shifted := eng.SpecGrid(translated)
 	m1 := eng.Metrics().Family("triple")
 	if m1.Misses != m0.Misses {
 		t.Fatalf("translated census missed the cache %d times; translation orbits should collapse it",
@@ -187,14 +197,14 @@ func TestTriplesAtTranslationReuse(t *testing.T) {
 	if m1.Hits <= m0.Hits {
 		t.Fatal("translated census produced no cache hits")
 	}
-	cold := SweepTriplesAt(6, 2, [3]int{3, 4, 5})
+	cold := Reference().SpecGrid(translated)
 	if !reflect.DeepEqual(shifted, cold) {
-		t.Fatal("cached translated census differs from cold simulation")
+		t.Fatal("cached translated census differs from the reference engine")
 	}
 	for i := range base {
-		if !base[i].Bandwidth.Equal(shifted[i].Bandwidth) {
-			t.Fatalf("triple %v: bandwidth %s at (0,1,2) but %s at (3,4,5)",
-				base[i].D, base[i].Bandwidth, shifted[i].Bandwidth)
+		if !base[i].SimMin.Equal(shifted[i].SimMin) {
+			t.Fatalf("triple %+v: bandwidth %s at (0,1,2) but %s at (3,4,5)",
+				base[i].Spec.Streams, base[i].SimMin, shifted[i].SimMin)
 		}
 	}
 }

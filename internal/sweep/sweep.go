@@ -3,6 +3,14 @@
 // predicted conflict regime and bandwidth of every stream pair against
 // the cyclic steady state the simulator finds, and renders the result
 // tables that EXPERIMENTS.md and cmd/ivmsweep report.
+//
+// Every census runs on an Engine, through three methods: Grid and
+// SectionGrid check each start of the pair grids against Theorems 2–7
+// and 8/9, and SpecGrid folds any list of ConfigSpecs — from GridSpecs,
+// TripleSpecs, TripleCensusSpecs or NStreamSpecs — against the
+// capacity bounds. Reference returns the engine every other
+// configuration is tested against: one worker, no cache, no analytic
+// gate, scalar kernel.
 package sweep
 
 import (
@@ -28,14 +36,9 @@ type PairResult struct {
 	Agree bool
 }
 
-// SweepPair simulates all m relative starts of the pair and checks the
-// analytic verdict. The bandwidth resolver is the cold spec path; the
-// engine's workers substitute the memo cache and a reused per-worker
-// system.
-func SweepPair(m, nc, d1, d2 int) PairResult {
-	return sweepPairWith(m, nc, d1, d2, coldTwoStreamBW(PairSpec(m, nc, d1, d2)))
-}
-
+// sweepPairWith sweeps all m relative starts of one distance pair
+// through the bandwidth resolver bw (stream 2 at b2, stream 1 at bank
+// 0) and checks the analytic verdict.
 func sweepPairWith(m, nc, d1, d2 int, bw func(b2 int) rat.Rational) PairResult {
 	a := core.Analyze(m, nc, d1, d2)
 	res := PairResult{M: m, NC: nc, D1: d1, D2: d2, Analysis: a}
@@ -75,8 +78,9 @@ func sweepPairWith(m, nc, d1, d2 int, bw func(b2 int) rat.Rational) PairResult {
 	return res
 }
 
-// gridPairs lists the distance pairs Grid sweeps, in sweep order: both
-// streams must have return number >= nc (no self-conflict), d2 >= d1.
+// gridPairs lists the distance pairs Engine.Grid sweeps, in sweep
+// order: both streams must have return number >= nc (no
+// self-conflict), d2 >= d1.
 func gridPairs(m, nc int) [][2]int {
 	var out [][2]int
 	for d1 := 0; d1 < m; d1++ {
@@ -89,19 +93,6 @@ func gridPairs(m, nc int) [][2]int {
 			}
 			out = append(out, [2]int{d1, d2})
 		}
-	}
-	return out
-}
-
-// Grid sweeps every distance pair of an (m, nc) system, skipping
-// self-conflicting pairs, and returns the per-pair comparisons. This
-// is the sequential reference path; Engine.Grid produces byte-identical
-// results in parallel.
-func Grid(m, nc int) []PairResult {
-	pairs := gridPairs(m, nc)
-	out := make([]PairResult, len(pairs))
-	for i, p := range pairs {
-		out[i] = SweepPair(m, nc, p[0], p[1])
 	}
 	return out
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSweepPairFig2(t *testing.T) {
-	r := SweepPair(12, 3, 1, 7)
+	r := sweepPair(Reference(), 12, 3, 1, 7)
 	if r.Analysis.Regime != core.RegimeConflictFree {
 		t.Fatalf("regime = %s", r.Analysis.Regime)
 	}
@@ -25,7 +25,7 @@ func TestSweepPairFig2(t *testing.T) {
 }
 
 func TestSweepPairBarrier(t *testing.T) {
-	r := SweepPair(16, 2, 1, 2)
+	r := sweepPair(Reference(), 16, 2, 1, 2)
 	if r.Analysis.Regime != core.RegimeUniqueBarrier {
 		t.Fatalf("regime = %s", r.Analysis.Regime)
 	}
@@ -42,7 +42,7 @@ func TestSweepPairBarrier(t *testing.T) {
 // paper, against every start, at several (m, n_c).
 func TestGridsAgree(t *testing.T) {
 	for _, g := range []struct{ m, nc int }{{8, 2}, {12, 3}, {13, 4}, {16, 4}} {
-		results := Grid(g.m, g.nc)
+		results := Reference().Grid(g.m, g.nc)
 		s := Summarise(g.m, g.nc, results)
 		if len(s.Disagree) != 0 {
 			for _, d := range s.Disagree {
@@ -58,7 +58,7 @@ func TestGridsAgree(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	results := Grid(8, 2)
+	results := Reference().Grid(8, 2)
 	tbl := Table(results)
 	if !strings.Contains(tbl, "regime") || !strings.Contains(tbl, "conflict-free") {
 		t.Fatalf("table:\n%s", tbl)
@@ -78,7 +78,7 @@ func TestTableRendering(t *testing.T) {
 // are empirically start-independent without a theorem certifying it
 // (1(+)11 is the worked example), and the counter reports them.
 func TestUnpredictedUniformCounted(t *testing.T) {
-	results := Grid(16, 4)
+	results := Reference().Grid(16, 4)
 	s := Summarise(16, 4, results)
 	if s.UnpredictedUniform == 0 {
 		t.Fatal("expected some empirically uniform pairs beyond the predictions")

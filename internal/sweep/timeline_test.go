@@ -10,7 +10,7 @@ func TestTimelineRecordsEngineWork(t *testing.T) {
 	tl := NewTimeline(0)
 	e := NewEngine(Options{Workers: 3, Timeline: tl})
 	got := e.Grid(12, 3)
-	want := Grid(12, 3)
+	want := Reference().Grid(12, 3)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("tracing changed the sweep output at %d: %+v != %+v", i, got[i], want[i])

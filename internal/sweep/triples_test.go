@@ -7,12 +7,14 @@ import (
 	"testing"
 )
 
-// Engine.TripleGrid must be indistinguishable from TripleGrid — same
-// results in the same order, hence byte-identical rendered tables —
-// for any worker count and cache configuration.
+// The triple grid (SpecGrid over TripleSpecs) must be
+// indistinguishable from the reference engine's — same results in the
+// same order, hence byte-identical rendered tables — for any worker
+// count and cache configuration.
 func TestEngineTripleGridByteIdenticalToSequential(t *testing.T) {
-	seq := TripleGrid(6, 2)
-	seqTable := TripleGridTable(seq)
+	specs := TripleSpecs(6, 2)
+	seq := Reference().SpecGrid(specs)
+	seqTable := SpecTable(seq)
 	for _, opt := range []Options{
 		{Workers: 1, CacheSize: -1},
 		{Workers: 4},
@@ -20,11 +22,11 @@ func TestEngineTripleGridByteIdenticalToSequential(t *testing.T) {
 		{Workers: 3, CacheSize: -1, CollectStats: true},
 	} {
 		eng := NewEngine(opt)
-		par := eng.TripleGrid(6, 2)
+		par := eng.SpecGrid(specs)
 		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("opts %+v: parallel triple grid differs from sequential", opt)
+			t.Fatalf("opts %+v: parallel triple grid differs from the reference engine", opt)
 		}
-		if got := TripleGridTable(par); got != seqTable {
+		if got := SpecTable(par); got != seqTable {
 			t.Fatalf("opts %+v: rendered triple table differs", opt)
 		}
 	}
@@ -40,7 +42,7 @@ func TestEngineTripleGridHitRate(t *testing.T) {
 		t.Skip("full (7,2) triple grid")
 	}
 	eng := NewEngine(Options{})
-	results := eng.TripleGrid(7, 2)
+	results := eng.SpecGrid(TripleSpecs(7, 2))
 	m := eng.Metrics()
 	starts := int64(0)
 	for _, r := range results {
@@ -57,13 +59,13 @@ func TestEngineTripleGridHitRate(t *testing.T) {
 	if len(m.Families) != 1 {
 		t.Fatalf("triple sweep leaked into other family counters: %+v", m.Families)
 	}
-	if s := SummariseTripleGrid(7, 2, results); s.Violations != 0 {
+	if s := SummariseSpecGrid(results); s.Violations != 0 {
 		t.Fatalf("%d capacity-bound violations", s.Violations)
 	}
 }
 
-// Random distance triples: the cached engine, the cold sequential
-// sweep and the per-placement capacity bounds are three independent
+// Random distance triples: the cached engine, the reference engine
+// and the per-placement capacity bounds are three independent
 // routes to the same numbers.
 func TestDifferentialRandomTriples(t *testing.T) {
 	rng := rand.New(rand.NewSource(19850803))
@@ -72,10 +74,10 @@ func TestDifferentialRandomTriples(t *testing.T) {
 		m := 2 + rng.Intn(7) // 2..8
 		nc := 1 + rng.Intn(3)
 		d := [3]int{rng.Intn(m), rng.Intn(m), rng.Intn(m)}
-		seq := SweepTriple(m, nc, d)
-		par := eng.SweepTriple(m, nc, d)
+		seq := sweepSpec(Reference(), TripleSpec(m, nc, d))
+		par := sweepSpec(eng, TripleSpec(m, nc, d))
 		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("trial %d m=%d nc=%d d=%v: engine %+v != sequential %+v",
+			t.Fatalf("trial %d m=%d nc=%d d=%v: engine %+v != reference %+v",
 				trial, m, nc, d, par, seq)
 		}
 		if seq.Violations != 0 {
@@ -92,26 +94,32 @@ func TestDifferentialRandomTriples(t *testing.T) {
 // fixed placement (0, 1, 2) is one of the m^2 swept placements, so its
 // bandwidth lies inside [SimMin, SimMax].
 func TestTripleCensusInsideGridRange(t *testing.T) {
-	census := SweepTriples(6, 2)
-	grid := TripleGrid(6, 2)
+	ref := Reference()
+	census := ref.SpecGrid(TripleCensusSpecs(6, 2, [3]int{0, 1, 2}))
+	grid := ref.SpecGrid(TripleSpecs(6, 2))
 	if len(census) != len(grid) {
 		t.Fatalf("census has %d triples, grid %d", len(census), len(grid))
 	}
 	for i, c := range census {
 		g := grid[i]
-		if c.D != g.D {
-			t.Fatalf("row %d: census triple %v != grid triple %v", i, c.D, g.D)
+		for k := range c.Spec.Streams {
+			if c.Spec.Streams[k].D != g.Spec.Streams[k].D {
+				t.Fatalf("row %d: census triple %+v != grid triple %+v", i, c.Spec, g.Spec)
+			}
 		}
-		if c.Bandwidth.Cmp(g.SimMin) < 0 || c.Bandwidth.Cmp(g.SimMax) > 0 {
-			t.Fatalf("triple %v: census bandwidth %s outside grid range [%s, %s]",
-				c.D, c.Bandwidth, g.SimMin, g.SimMax)
+		if c.Starts != 1 || !c.SimMin.Equal(c.SimMax) {
+			t.Fatalf("triple %+v: census folded %d placements", c.Spec, c.Starts)
+		}
+		if c.SimMin.Cmp(g.SimMin) < 0 || c.SimMin.Cmp(g.SimMax) > 0 {
+			t.Fatalf("triple %+v: census bandwidth %s outside grid range [%s, %s]",
+				c.Spec, c.SimMin, g.SimMin, g.SimMax)
 		}
 	}
 }
 
 func TestTripleGridSummaryAndTable(t *testing.T) {
-	results := TripleGrid(4, 1)
-	s := SummariseTripleGrid(4, 1, results)
+	results := Reference().SpecGrid(TripleSpecs(4, 1))
+	s := SummariseSpecGrid(results)
 	if s.Triples != len(results) || s.Starts != 16*len(results) {
 		t.Fatalf("summary miscounts: %+v over %d triples", s, len(results))
 	}
@@ -121,7 +129,7 @@ func TestTripleGridSummaryAndTable(t *testing.T) {
 	if s.TightSomewhere == 0 || s.TightStarts == 0 {
 		t.Fatalf("no tight placements at all: %+v", s)
 	}
-	out := TripleGridTable(results)
+	out := SpecTable(results)
 	for _, col := range []string{"d1", "d3", "sim min", "sim max", "tight"} {
 		if !strings.Contains(out, col) {
 			t.Fatalf("table missing %q:\n%s", col, out)
@@ -140,8 +148,8 @@ func decodeFuzzTriple(mRaw, ncRaw, d1Raw, d2Raw, d3Raw uint8) (m, nc int, d [3]i
 }
 
 // FuzzSweepTriple differentially tests one distance triple per input:
-// the cached parallel engine against the cold sequential sweep, and
-// every placement against its capacity bound.
+// the cached parallel engine against the reference engine, and every
+// placement against its capacity bound.
 func FuzzSweepTriple(f *testing.F) {
 	seeds := [][5]uint8{
 		{7, 1, 1, 1, 1}, // m=8 nc=2 (1,1,1): conflict-free from spread starts
@@ -155,11 +163,11 @@ func FuzzSweepTriple(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, mRaw, ncRaw, d1Raw, d2Raw, d3Raw uint8) {
 		m, nc, d := decodeFuzzTriple(mRaw, ncRaw, d1Raw, d2Raw, d3Raw)
-		seq := SweepTriple(m, nc, d)
+		seq := sweepSpec(Reference(), TripleSpec(m, nc, d))
 		eng := NewEngine(Options{Workers: 2, CacheSize: 256})
-		par := eng.SweepTriple(m, nc, d)
+		par := sweepSpec(eng, TripleSpec(m, nc, d))
 		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("m=%d nc=%d d=%v: engine %+v != sequential %+v", m, nc, d, par, seq)
+			t.Fatalf("m=%d nc=%d d=%v: engine %+v != reference %+v", m, nc, d, par, seq)
 		}
 		if seq.Violations != 0 {
 			t.Fatalf("m=%d nc=%d d=%v: %d capacity-bound violations", m, nc, d, seq.Violations)

@@ -8,7 +8,9 @@
 # exercised under the race detector too, including a short pass over
 # the differential equivalence harness (docs/KERNEL.md) that pins the
 # packed kernel and the analytic gate to the scalar oracle with the
-# fast path forced both on and off. A single-iteration bench.sh run
+# fast path forced both on and off. The nested benchmark module
+# (ivmbench/, outside ./...) is vetted and tested against the current
+# tree. A single-iteration bench.sh run
 # is then diffed against the committed BENCH_sweep.json by
 # scripts/benchdiff.go, gating on catastrophic timing regressions.
 # Live probes close the run:
@@ -61,6 +63,11 @@ go test -race ./internal/memsys ./internal/sweep
 # analytic gate and packed kernel forced on against the same sweeps
 # forced off — so this pass exercises the fast path both on and off.
 go test -race -short -run Differential ./internal/memsys ./internal/sweep
+
+# The benchmark module has its own go.mod (replace ivm => ../), so
+# neither `go build ./...` nor the test runs above enter it; build, vet
+# and test it here so an API change it depends on fails this gate.
+(cd ivmbench && go vet ./... && go test ./...)
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"; [ -n "${srv:-}" ] && kill "$srv" 2>/dev/null || true' EXIT
