@@ -564,12 +564,39 @@ func BenchmarkLinkedConflictAblation(b *testing.B) {
 }
 
 // Steady-state detector performance: hashed-state cycle detection vs a
-// long fixed run, on the Fig. 3 barrier.
+// long fixed run, on the Fig. 3 barrier. hashed-cycle builds a fresh
+// scalar-kernel system per iteration; packed does the same on the
+// packed kernel; packed-reset reuses one packed system through Reset,
+// the way a sweep worker does, so its allocations are the returned
+// Cycle's alone.
 func BenchmarkCycleDetection(b *testing.B) {
 	b.Run("hashed-cycle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			f := figures.Fig3()
 			sys := f.Build()
+			if _, err := sys.FindCycle(1 << 20); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("packed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sys := figures.Fig3().Build()
+			sys.SetKernel(memsys.KernelPacked)
+			if _, err := sys.FindCycle(1 << 20); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("packed-reset", func(b *testing.B) {
+		f := figures.Fig3()
+		sys := memsys.New(f.Config)
+		sys.SetKernel(memsys.KernelPacked)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sys.Reset()
+			sys.AddStreams(f.Streams...)
 			if _, err := sys.FindCycle(1 << 20); err != nil {
 				b.Fatal(err)
 			}

@@ -1,9 +1,12 @@
 package memsys
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
+	"math/bits"
+	"unsafe"
 
 	"ivm/internal/rat"
 )
@@ -56,84 +59,195 @@ var ErrNoCycle = errors.New("memsys: no cyclic state found within clock budget")
 
 type periodicSource interface{ periodic() bool }
 
+func isPeriodic(src Source) bool {
+	ps, ok := src.(periodicSource)
+	return ok && ps.periodic()
+}
+
 // FindCycle simulates until the memory state recurs and returns the
 // cyclic steady state. All sources must be infinite strided streams.
-// The state hashed per clock is (bank busy remainders, per-port pending
-// bank, priority rotation) — everything that determines the future.
-// maxClocks and the returned Lead are relative to the clock at the
-// call, so FindCycle behaves identically on a fresh system and on one
-// reused through Reset.
+// maxClocks bounds the clocks stepped, so a cycle with Lead+Length <=
+// maxClocks is always found. maxClocks and the returned Lead are
+// relative to the clock at the call, so FindCycle behaves identically
+// on a fresh system and on one reused through Reset.
 func (s *System) FindCycle(maxClocks int64) (Cycle, error) {
-	start := s.clock
 	for _, p := range s.ports {
-		ps, ok := p.Src.(periodicSource)
-		if !ok || !ps.periodic() {
+		if !isPeriodic(p.Src) {
 			return Cycle{}, fmt.Errorf("%w (port %d is %s)", ErrNotPeriodic, p.ID, describeSource(p.Src))
 		}
 	}
-	if s.kernel == KernelPacked {
-		return s.findCyclePacked(start, maxClocks)
-	}
+	return s.detectCycle(maxClocks)
+}
 
-	type snapshot struct {
-		clock     int64
-		grants    []int64
-		conflicts []Counters
-	}
-	seen := make(map[string]snapshot)
-
-	record := func() (string, snapshot) {
-		var b strings.Builder
-		for _, busy := range s.busy {
-			fmt.Fprintf(&b, "%d,", busy)
-		}
-		b.WriteByte('|')
-		for _, p := range s.ports {
-			addr, ok := p.Src.Pending(s.clock)
-			if !ok {
-				b.WriteString("-,")
-				continue
-			}
-			fmt.Fprintf(&b, "%d,", s.mapper.Bank(addr))
-		}
-		fmt.Fprintf(&b, "|%d", s.rr)
-		snap := snapshot{
-			clock:     s.clock,
-			grants:    make([]int64, len(s.ports)),
-			conflicts: make([]Counters, len(s.ports)),
-		}
-		for i, p := range s.ports {
-			snap.grants[i] = p.Count.Grants
-			snap.conflicts[i] = p.Count
-		}
-		return b.String(), snap
-	}
-
-	for s.clock < start+maxClocks {
-		key, snap := record()
-		if prev, ok := seen[key]; ok {
+// detectCycle is the steady-state search both kernels share: it
+// records each clock's state key (appendStateKey), clock and counters
+// in the system's state table until a key recurs. Once the table's
+// arenas have grown it allocates nothing per clock; only the returned
+// Cycle's two slices are new.
+func (s *System) detectCycle(maxClocks int64) (Cycle, error) {
+	t := &s.states
+	t.reset()
+	defer t.trim()
+	start := s.clock
+	for {
+		lo := len(t.keys)
+		t.keys = s.appendStateKey(t.keys)
+		e, found := t.probe(fnv64(t.keys[lo:]))
+		if found {
+			prev := t.counts[e*len(s.ports):]
 			c := Cycle{
-				Lead:      prev.clock - start,
-				Length:    snap.clock - prev.clock,
+				Lead:      t.entries[e].clock - start,
+				Length:    s.clock - t.entries[e].clock,
 				Grants:    make([]int64, len(s.ports)),
 				Conflicts: make([]Counters, len(s.ports)),
 			}
-			for i := range s.ports {
-				c.Grants[i] = snap.grants[i] - prev.grants[i]
-				c.Conflicts[i] = Counters{
-					Grants:       snap.conflicts[i].Grants - prev.conflicts[i].Grants,
-					Bank:         snap.conflicts[i].Bank - prev.conflicts[i].Bank,
-					Simultaneous: snap.conflicts[i].Simultaneous - prev.conflicts[i].Simultaneous,
-					Section:      snap.conflicts[i].Section - prev.conflicts[i].Section,
-					Idle:         snap.conflicts[i].Idle - prev.conflicts[i].Idle,
-				}
+			for i, p := range s.ports {
+				n, o := p.Count, prev[i]
+				c.Grants[i] = n.Grants - o.Grants
+				c.Conflicts[i] = Counters{c.Grants[i], n.Bank - o.Bank, n.Simultaneous - o.Simultaneous, n.Section - o.Section, n.Idle - o.Idle}
 			}
 			return c, nil
 		}
-		seen[key] = snap
+		t.entries[e].clock = s.clock
+		for _, p := range s.ports {
+			t.counts = append(t.counts, p.Count)
+		}
+		if s.clock-start >= maxClocks {
+			return Cycle{}, ErrNoCycle
+		}
 		s.Step()
 	}
-	return Cycle{}, ErrNoCycle
+}
+
+// appendStateKey appends the binary.AppendVarint encoding of the state
+// that determines the system's future: the rotation pointer rr, each
+// port's pending bank (-1 if none), then (bank, BankBusy(bank)) for
+// every busy bank in ascending order. The scalar kernel walks busy[],
+// the packed kernel its bit words; the bytes are the same.
+func (s *System) appendStateKey(key []byte) []byte {
+	key = binary.AppendVarint(key, int64(s.rr))
+	for _, p := range s.ports {
+		bank := int64(-1)
+		if addr, ok := p.Src.Pending(s.clock); ok {
+			bank = int64(s.mapper.Bank(addr))
+		}
+		key = binary.AppendVarint(key, bank)
+	}
+	if s.kernel != KernelPacked {
+		for b, busy := range s.busy {
+			if busy > 0 {
+				key = binary.AppendVarint(binary.AppendVarint(key, int64(b)), int64(busy))
+			}
+		}
+		return key
+	}
+	s.expireTo(s.clock)
+	for wi, word := range s.words {
+		for ; word != 0; word &= word - 1 {
+			b := wi<<6 + bits.TrailingZeros64(word)
+			key = binary.AppendVarint(binary.AppendVarint(key, int64(b)), s.expiry[b]-s.clock)
+		}
+	}
+	return key
+}
+
+// retainLimit caps the bytes of arenas a System keeps between FindCycle
+// calls, so a system reused after one long-period placement (the sweep
+// budget is 2^22 clocks) does not hold that placement's memory.
+const retainLimit = 1 << 20
+
+// stateTable is FindCycle's record of seen states, in flat arenas a
+// System reuses across calls: the key bytes back to back, one entry
+// (key end, hash, clock) and one row of len(ports) counters per state,
+// indexed by an open-addressing hash table. A hash hit counts only if
+// the key bytes are equal, so a collision never reports a false cycle.
+type stateTable struct {
+	keys    []byte // entry keys back to back, then the key being probed
+	entries []stateEntry
+	counts  []Counters
+	slots   []int32 // entry index + 1, 0 = empty; power-of-two length
+}
+
+type stateEntry struct {
+	end   int // the key is keys[start(e):end]
+	hash  uint64
+	clock int64
+}
+
+func (t *stateTable) reset() {
+	t.keys, t.entries, t.counts, t.slots = t.keys[:0], t.entries[:0], t.counts[:0], t.slots[:0]
+}
+
+// footprint is the bytes the table's arenas hold.
+func (t *stateTable) footprint() int {
+	return cap(t.keys) + cap(t.entries)*int(unsafe.Sizeof(stateEntry{})) +
+		cap(t.counts)*int(unsafe.Sizeof(Counters{})) + 4*cap(t.slots)
+}
+
+// trim releases the arenas if they hold more than retainLimit bytes.
+func (t *stateTable) trim() {
+	if t.footprint() > retainLimit {
+		*t = stateTable{}
+	}
+}
+
+// start returns where entry e's key begins in keys; start(len(entries))
+// is where the probed key begins.
+func (t *stateTable) start(e int) int {
+	if e == 0 {
+		return 0
+	}
+	return t.entries[e-1].end
+}
+
+// probe looks up the key appended to keys after the last entry, whose
+// hash is h. On a hit it drops that key and returns the matching entry
+// with found = true; otherwise the key becomes a new entry.
+func (t *stateTable) probe(h uint64) (e int, found bool) {
+	if 2*(len(t.entries)+1) > len(t.slots) {
+		t.rehash()
+	}
+	lo := t.start(len(t.entries))
+	mask := uint64(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if t.slots[i] == 0 {
+			t.entries = append(t.entries, stateEntry{end: len(t.keys), hash: h})
+			t.slots[i] = int32(len(t.entries))
+			return len(t.entries) - 1, false
+		}
+		e = int(t.slots[i] - 1)
+		if t.entries[e].hash == h && bytes.Equal(t.keys[t.start(e):t.entries[e].end], t.keys[lo:]) {
+			t.keys = t.keys[:lo]
+			return e, true
+		}
+	}
+}
+
+// rehash doubles the index (to at least 64 slots), reusing its capacity.
+func (t *stateTable) rehash() {
+	n := max(2*len(t.slots), 64)
+	if cap(t.slots) >= n {
+		t.slots = t.slots[:n]
+		clear(t.slots)
+	} else {
+		t.slots = make([]int32, n)
+	}
+	for e, en := range t.entries {
+		i := en.hash & uint64(n-1)
+		for t.slots[i] != 0 {
+			i = (i + 1) & uint64(n-1)
+		}
+		t.slots[i] = int32(e + 1)
+	}
+}
+
+// fnv64 is the 64-bit FNV-1a hash.
+func fnv64(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
 }
 
 // SteadyBandwidth is a convenience wrapper: build a system from bank

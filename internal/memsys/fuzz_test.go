@@ -1,6 +1,9 @@
 package memsys
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzSimulatorInvariants drives randomly configured systems and checks
 // the structural invariants via the same listener the sweep tests use:
@@ -48,22 +51,31 @@ func FuzzSimulatorInvariants(f *testing.F) {
 }
 
 // FuzzFindCycle checks that cycle detection always terminates with a
-// consistent cycle on two infinite streams.
+// consistent cycle on two infinite streams, and that both kernels find
+// the same one.
 func FuzzFindCycle(f *testing.F) {
 	f.Add(uint8(13), uint8(6), uint8(1), uint8(6), uint8(0))
 	f.Add(uint8(16), uint8(4), uint8(1), uint8(2), uint8(5))
 	f.Fuzz(func(t *testing.T, mRaw, ncRaw, d1Raw, d2Raw, b2Raw uint8) {
 		m := int(mRaw%20) + 1
 		nc := int(ncRaw%5) + 1
-		sys := New(Config{Banks: m, BankBusy: nc, CPUs: 2})
-		sys.AddPort(0, "1", NewInfiniteStrided(0, int64(int(d1Raw)%m)))
-		sys.AddPort(1, "2", NewInfiniteStrided(int64(int(b2Raw)%m), int64(int(d2Raw)%m)))
-		c, err := sys.FindCycle(1 << 22)
-		if err != nil {
-			t.Fatalf("no cycle: %v", err)
+		var cycles [2]Cycle
+		for i, k := range []Kernel{KernelScalar, KernelPacked} {
+			sys := New(Config{Banks: m, BankBusy: nc, CPUs: 2})
+			sys.SetKernel(k)
+			sys.AddPort(0, "1", NewInfiniteStrided(0, int64(int(d1Raw)%m)))
+			sys.AddPort(1, "2", NewInfiniteStrided(int64(int(b2Raw)%m), int64(int(d2Raw)%m)))
+			c, err := sys.FindCycle(1 << 22)
+			if err != nil {
+				t.Fatalf("%v kernel: no cycle: %v", k, err)
+			}
+			if c.Length <= 0 || c.TotalGrants() < 0 || c.TotalGrants() > 2*c.Length {
+				t.Fatalf("%v kernel: inconsistent cycle %+v", k, c)
+			}
+			cycles[i] = c
 		}
-		if c.Length <= 0 || c.TotalGrants() < 0 || c.TotalGrants() > 2*c.Length {
-			t.Fatalf("inconsistent cycle %+v", c)
+		if !reflect.DeepEqual(cycles[0], cycles[1]) {
+			t.Fatalf("cycles diverge:\nscalar %+v\npacked %+v", cycles[0], cycles[1])
 		}
 	})
 }

@@ -4,17 +4,13 @@ package memsys
 // simulator's inner loop that keeps the busy set as one bit per bank in
 // []uint64 words, tracks busy expiries in a small event wheel instead
 // of decrementing a per-bank counter every clock, skips ahead over
-// provably blocked stretches in Run, and hashes the packed state with a
-// cheap binary key in cycle detection. The scalar kernel (the loop in
+// provably blocked stretches in Run, and encodes its cycle-detection
+// state key from the busy bits alone. The scalar kernel (the loop in
 // Step) remains the reference implementation — the oracle the
 // differential suite in kernel_diff_test.go holds this kernel to,
 // clock by clock. docs/KERNEL.md derives the equivalence argument.
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Kernel selects the simulator's inner-loop implementation.
 type Kernel int
@@ -24,10 +20,9 @@ const (
 	// oracle every other kernel is differentially tested against.
 	KernelScalar Kernel = iota
 	// KernelPacked is the bit-packed bank-busy kernel: busy bits in
-	// []uint64 words, expiries in an event wheel, skip-ahead in Run,
-	// binary state keys in FindCycle. Semantically identical to
-	// KernelScalar (same grants, same conflict classification, same
-	// events, same cyclic states).
+	// []uint64 words, expiries in an event wheel, skip-ahead in Run.
+	// Semantically identical to KernelScalar (same grants, same
+	// conflict classification, same events, same cyclic states).
 	KernelPacked
 )
 
@@ -248,8 +243,7 @@ func (s *System) blockedStretch(end int64) int64 {
 		if p.Src == nil || p.Src.Done() {
 			continue
 		}
-		ps, ok := p.Src.(periodicSource)
-		if !ok || !ps.periodic() {
+		if !isPeriodic(p.Src) {
 			return 0
 		}
 		addr, pending := p.Src.Pending(s.clock)
@@ -281,79 +275,4 @@ func (s *System) blockedStretch(end int64) int64 {
 	s.advanceRotation(delta)
 	s.clock = next
 	return delta
-}
-
-// findCyclePacked is FindCycle on the packed kernel: the same per-clock
-// recurrence search, hashing the packed state — priority rotation,
-// per-port pending bank, and the busy banks with their remaining clocks
-// — into a compact binary key instead of the scalar kernel's formatted
-// string over all m banks. At most n_c·p banks are busy at once, so the
-// key length tracks the port count, not the bank count; the two
-// encodings are injective on the same state space, so the recurrence is
-// found at the same clock and the returned window is identical to the
-// scalar kernel's.
-func (s *System) findCyclePacked(start, maxClocks int64) (Cycle, error) {
-	np := len(s.ports)
-	const stride = 5 // grants, bank, simultaneous, section, idle
-	type packedSnap struct {
-		clock  int64
-		counts []int64
-	}
-	seen := make(map[string]packedSnap)
-	key := make([]byte, 0, 16+4*np)
-	counts := func() []int64 {
-		cs := make([]int64, stride*np)
-		for i, p := range s.ports {
-			c := p.Count
-			j := stride * i
-			cs[j], cs[j+1], cs[j+2], cs[j+3], cs[j+4] =
-				c.Grants, c.Bank, c.Simultaneous, c.Section, c.Idle
-		}
-		return cs
-	}
-
-	for s.clock < start+maxClocks {
-		s.expireTo(s.clock)
-		key = key[:0]
-		key = binary.AppendVarint(key, int64(s.rr))
-		for _, p := range s.ports {
-			if addr, ok := p.Src.Pending(s.clock); ok {
-				key = binary.AppendVarint(key, int64(s.mapper.Bank(addr)))
-			} else {
-				key = binary.AppendVarint(key, -1)
-			}
-		}
-		for wi, word := range s.words {
-			for word != 0 {
-				b := wi<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				key = binary.AppendVarint(key, int64(b))
-				key = binary.AppendVarint(key, s.expiry[b]-s.clock)
-			}
-		}
-		if prev, ok := seen[string(key)]; ok {
-			cur := counts()
-			c := Cycle{
-				Lead:      prev.clock - start,
-				Length:    s.clock - prev.clock,
-				Grants:    make([]int64, np),
-				Conflicts: make([]Counters, np),
-			}
-			for i := 0; i < np; i++ {
-				j := stride * i
-				c.Grants[i] = cur[j] - prev.counts[j]
-				c.Conflicts[i] = Counters{
-					Grants:       cur[j] - prev.counts[j],
-					Bank:         cur[j+1] - prev.counts[j+1],
-					Simultaneous: cur[j+2] - prev.counts[j+2],
-					Section:      cur[j+3] - prev.counts[j+3],
-					Idle:         cur[j+4] - prev.counts[j+4],
-				}
-			}
-			return c, nil
-		}
-		seen[string(key)] = packedSnap{clock: s.clock, counts: counts()}
-		s.stepPacked()
-	}
-	return Cycle{}, ErrNoCycle
 }

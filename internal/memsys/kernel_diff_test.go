@@ -82,13 +82,17 @@ func (r *eventRecorder) Observe(e Event) {
 }
 
 // stepCompare drives both systems clock-by-clock and asserts identical
-// grants, event streams, busy state and owners after every clock.
+// grants, event streams, busy state, owners and cycle-detection state
+// keys after every clock.
 func stepCompare(t *testing.T, scalar, packed *System, steps int) {
 	t.Helper()
 	sRec, pRec := &eventRecorder{}, &eventRecorder{}
 	scalar.SetListener(sRec)
 	packed.SetListener(pRec)
 	for i := 0; i < steps; i++ {
+		if ks, kp := scalar.appendStateKey(nil), packed.appendStateKey(nil); string(ks) != string(kp) {
+			t.Fatalf("clock %d: state keys diverge: scalar %x packed %x", i, ks, kp)
+		}
 		gs, gp := scalar.Step(), packed.Step()
 		if gs != gp {
 			t.Fatalf("clock %d: scalar granted %d, packed %d", i, gs, gp)

@@ -321,6 +321,8 @@ type System struct {
 	expiry  []int64
 	wheel   [][]int32
 	expired int64
+
+	states stateTable // FindCycle's seen states, reused across calls
 }
 
 // New creates a memory system with the default modulo bank mapping.

@@ -378,8 +378,9 @@ func (m Metrics) Table() string {
 // isomorphisms. An Engine is safe for concurrent use by multiple
 // goroutines, though each sweep call already saturates its own pool.
 type Engine struct {
-	opt   Options
-	cache *bwCache
+	opt       Options
+	cache     *bwCache // built by memo on first use; nil when disabled
+	cacheOnce sync.Once
 
 	famMu sync.Mutex
 	fams  map[string]*familyCounter
@@ -410,15 +411,25 @@ type familyCounter struct {
 // NewEngine builds an engine; the zero Options select GOMAXPROCS
 // workers and the default cache size.
 func NewEngine(opt Options) *Engine {
-	e := &Engine{opt: opt}
-	if opt.CacheSize >= 0 {
-		size := opt.CacheSize
+	return &Engine{opt: opt}
+}
+
+// memo returns the cyclic-state cache, or nil when caching is disabled.
+// The cache is built on first use, so constructing an engine allocates
+// only the Engine: code that builds engines in bulk, or a fresh one per
+// census, does not touch the cache's shard array until it caches.
+func (e *Engine) memo() *bwCache {
+	e.cacheOnce.Do(func() {
+		if e.opt.CacheSize < 0 {
+			return
+		}
+		size := e.opt.CacheSize
 		if size == 0 {
 			size = DefaultCacheSize
 		}
 		e.cache = newBWCache(size)
-	}
-	return e
+	})
+	return e.cache
 }
 
 // Reference returns the reference engine every other configuration is
@@ -473,8 +484,8 @@ func (e *Engine) Metrics() Metrics {
 		m.AnalyticHits += an
 	}
 	e.famMu.Unlock()
-	if e.cache != nil {
-		m.CacheEntries = e.cache.Len()
+	if c := e.memo(); c != nil {
+		m.CacheEntries = c.Len()
 	}
 	return m
 }
@@ -935,7 +946,8 @@ func (w *worker) resolveSpans(cs *compiledSpec, b []int, wantCanon bool, sp Span
 	if packed {
 		simPath = PathSimPacked
 	}
-	if e.cache == nil {
+	cache := e.memo()
+	if cache == nil {
 		n := len(cs.spec.Streams)
 		for i, st := range cs.spec.Streams {
 			cs.vec[i] = st.D
@@ -966,7 +978,7 @@ func (w *worker) resolveSpans(cs *compiledSpec, b []int, wantCanon bool, sp Span
 	if sp != nil {
 		ps = sp.Start()
 	}
-	bw, ok := e.cache.get(key)
+	bw, ok := cache.get(key)
 	if sp != nil {
 		sp.Span(SpanCacheProbe, ps)
 	}
@@ -989,7 +1001,7 @@ func (w *worker) resolveSpans(cs *compiledSpec, b []int, wantCanon bool, sp Span
 	}
 	tl.Slice(w.id, TimelineSimulate, ts, -1, cs.family)
 	prov.Simulated(cs.family, cs.spec.M, cs.spec.S, cs.spec.NC, cs.vec, packed, c.Length, c.Lead+c.Length)
-	e.cache.put(key, bw)
+	cache.put(key, bw)
 	if sink := e.opt.CacheSink; sink != nil {
 		sink.Put(CacheRecord{
 			Family: cs.family,

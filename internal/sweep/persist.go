@@ -87,13 +87,14 @@ type CacheSink interface {
 // are checked. Seeding does not re-emit to the CacheSink and is a
 // no-op error when caching is disabled.
 func (e *Engine) SeedCache(rec CacheRecord) error {
-	if e.cache == nil {
+	cache := e.memo()
+	if cache == nil {
 		return fmt.Errorf("sweep: seeding a cache-disabled engine")
 	}
 	if err := rec.Validate(); err != nil {
 		return fmt.Errorf("sweep: %v", err)
 	}
-	e.cache.put(rec.key(), rec.BW)
+	cache.put(rec.key(), rec.BW)
 	return nil
 }
 
@@ -104,12 +105,13 @@ func (e *Engine) SeedCache(rec CacheRecord) error {
 // is complete for serving, because a served query gates the same
 // placements analytically.
 func (e *Engine) CacheRecords() []CacheRecord {
-	if e.cache == nil {
+	cache := e.memo()
+	if cache == nil {
 		return nil
 	}
 	var out []CacheRecord
-	for i := range e.cache.shards {
-		s := &e.cache.shards[i]
+	for i := range cache.shards {
+		s := &cache.shards[i]
 		s.mu.Lock()
 		for k, v := range s.m {
 			out = append(out, CacheRecord{
