@@ -401,7 +401,7 @@ func AttachTracer(sys *System, opt TracerOptions) *Tracer { return obs.Attach(sy
 // document (chrome://tracing, Perfetto): one track per bank, one per
 // port.
 func WriteChromeTrace(w io.Writer, events []TraceEvent, banks, bankBusy int) error {
-	return obs.WriteChromeTrace(w, events, banks, bankBusy)
+	return obs.WriteChromeTrace(w, obs.SimTrack(events, banks, bankBusy))
 }
 
 // WriteTraceCSV renders traced events as a CSV timeline.

@@ -42,7 +42,9 @@ var benchSink sweep.SpanSink
 
 // BenchmarkDetachedSpan measures the detached span path: the engine's
 // per-phase cost when no TraceContext rides the request — a nil-sink
-// check and nothing else, mirroring resolveSpans' guards.
+// check and nothing else, mirroring the guard in the engine's phase
+// probe (internal/sweep/phase.go). TestResolveAllocsWarmSectionHit in
+// internal/sweep guards the real resolve path.
 func BenchmarkDetachedSpan(b *testing.B) {
 	detached := func() {
 		if benchSink != nil {

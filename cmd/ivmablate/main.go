@@ -143,7 +143,7 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err == nil {
-			err = obs.WriteWorkerTrace(f, timeline.Events())
+			err = obs.WriteChromeTrace(f, obs.WorkerTrack(timeline.Events()))
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

@@ -194,7 +194,7 @@ func main() {
 		events := tracer.Events()
 		if *traceOut != "" {
 			if err := writeFile(*traceOut, func(w *os.File) error {
-				return obs.WriteChromeTrace(w, events, *m, *nc)
+				return obs.WriteChromeTrace(w, obs.SimTrack(events, *m, *nc))
 			}); err != nil {
 				fail("%v", err)
 			}

@@ -141,8 +141,7 @@ func main() {
 		Workers: *workers, CacheSize: *cache, CollectStats: *showStats,
 		SectionFullUnits: fullUnits, Timeline: timeline,
 		Analytic: analytic, PackedKernel: packed,
-		Provenance: prov, Progress: progressSink(prog),
-		ItemLatency: latencySink(itemLatency),
+		Provenance: prov, Progress: prog, ItemLatency: itemLatency,
 	})
 	if *metricsAddr != "" {
 		closer, err := obs.ServeMetrics("ivmsweep", *metricsAddr, func() *sweep.Engine { return eng }, prog, itemLatency)
@@ -195,7 +194,7 @@ func main() {
 		events := tr.Events()
 		if *traceOut != "" {
 			if err := writeFile(*traceOut, func(w *os.File) error {
-				return obs.WriteCombinedChromeTrace(w, events, *m, *nc, timeline.Events())
+				return obs.WriteChromeTrace(w, obs.SimTrack(events, *m, *nc), obs.WorkerTrack(timeline.Events()))
 			}); err != nil {
 				fail("%v", err)
 			}
@@ -270,24 +269,6 @@ func exportCache(eng *sweep.Engine, dir string) error {
 	fmt.Fprintf(os.Stderr, "exported %d cached states to %s (%d new)\n",
 		len(records), store.Path(), added)
 	return nil
-}
-
-// progressSink adapts a possibly-nil tracker to the engine's sink
-// interface without boxing a typed nil into a non-nil interface.
-func progressSink(p *obs.Progress) sweep.ProgressSink {
-	if p == nil {
-		return nil
-	}
-	return p
-}
-
-// latencySink adapts a possibly-nil histogram to the engine's sink
-// interface without boxing a typed nil into a non-nil interface.
-func latencySink(h *obs.LatencyHist) sweep.LatencySink {
-	if h == nil {
-		return nil
-	}
-	return h
 }
 
 // sweepFlags collects the memory shape, the mutually exclusive

@@ -5,21 +5,36 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"ivm/internal/sweep"
 )
 
-// Chrome trace_event export: the traced window rendered as two
-// processes — "banks" (one thread per bank, each grant an 'X' slice
-// lasting the bank busy time) and "ports" (one thread per port, each
-// delayed clock a one-clock slice named after its conflict kind).
-// Clock periods are mapped to microseconds, the format's time unit, so
-// one clock reads as 1us in chrome://tracing or Perfetto.
+// Chrome trace_event export. A document holds any combination of three
+// tracks, each one or two trace processes:
+//
+//   - SimTrack: a traced simulation window as "banks" (one thread per
+//     bank, each grant an 'X' slice lasting the bank busy time) and
+//     "ports" (one thread per port, each delayed clock a one-clock
+//     slice named after its conflict kind). Clock periods map to
+//     microseconds, the format's time unit, so one clock reads as 1us
+//     in chrome://tracing or Perfetto.
+//   - WorkerTrack: the sweep engine's Timeline as "sweep workers", one
+//     thread per pool slot; phases are 'X' slices and the per-placement
+//     verdicts (analytic-hit, cache-hit, cache-miss) thread-scoped 'i'
+//     instants, so the memoisation pattern paints onto the lanes.
+//   - RequestTrack: completed API requests as "requests", one thread
+//     per request holding the request slice (named by endpoint, with
+//     the request ID in args so a trace can be grepped for one ID) and
+//     one child slice per recorded span.
+//
+// All three render through one lane renderer (lanes).
 
-// Process IDs of the trace tracks: simulation banks and ports, plus
-// the sweep-engine worker pool (see WriteWorkerTrace).
+// Process IDs of the trace tracks.
 const (
-	chromePidBanks   = 1
-	chromePidPorts   = 2
-	chromePidWorkers = 3
+	chromePidBanks    = 1
+	chromePidPorts    = 2
+	chromePidWorkers  = 3
+	chromePidRequests = 4
 )
 
 // chromeEvent is one trace_event entry. Field order is fixed and args
@@ -44,68 +59,152 @@ type chromeDoc struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// simChromeEvents builds the bank/port trace tracks of a simulation
-// event window: metadata naming the two processes and their threads,
-// then one slice per event.
-func simChromeEvents(events []Event, banks, bankBusy int) ([]chromeEvent, error) {
-	if banks <= 0 || bankBusy <= 0 {
-		return nil, fmt.Errorf("obs: bad chrome trace geometry banks=%d busy=%d", banks, bankBusy)
-	}
-	out := []chromeEvent{
-		meta("process_name", chromePidBanks, 0, map[string]any{"name": "banks"}),
-		meta("process_name", chromePidPorts, 0, map[string]any{"name": "ports"}),
-	}
-	for b := 0; b < banks; b++ {
-		out = append(out,
-			meta("thread_name", chromePidBanks, b, map[string]any{"name": fmt.Sprintf("bank %d", b)}))
-	}
-	for _, p := range portsOf(events) {
-		name := fmt.Sprintf("port %d", p.id)
-		if p.label != "" {
-			name = fmt.Sprintf("port %d (stream %s)", p.id, p.label)
-		}
-		out = append(out,
-			meta("thread_name", chromePidPorts, p.id, map[string]any{"name": name}))
-	}
-	for _, e := range events {
-		if e.Granted() {
-			out = append(out, chromeEvent{
-				Name: "stream " + portName(e), Ph: "X", Ts: e.Clock, Dur: int64(bankBusy),
-				Pid: chromePidBanks, Tid: e.Bank, Cat: "grant",
-				Args: map[string]any{"port": e.Port, "cpu": e.CPU},
-			})
-			continue
-		}
-		out = append(out, chromeEvent{
-			Name: e.Kind.String() + " conflict", Ph: "X", Ts: e.Clock, Dur: 1,
-			Pid: chromePidPorts, Tid: e.Port, Cat: "delay",
-			Args: map[string]any{"bank": e.Bank, "blocker": e.Blocker},
-		})
-	}
-	return out, nil
+// lanes is the one lane renderer behind every track: process metadata,
+// thread metadata per lane, 'X' slices clamped to at least 1us so
+// sub-microsecond work stays visible, and thread-scoped instants.
+// Times are microseconds.
+type lanes []chromeEvent
+
+func (l *lanes) process(pid int, name string) {
+	*l = append(*l, chromeEvent{Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": name}})
 }
 
-func encodeChromeDoc(w io.Writer, events []chromeEvent) error {
+func (l *lanes) thread(pid, tid int, name string) {
+	*l = append(*l, chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": name}})
+}
+
+func (l *lanes) slice(pid, tid int, cat, name string, ts, dur int64, args map[string]any) {
+	*l = append(*l, chromeEvent{Name: name, Ph: "X", Ts: ts, Dur: max(dur, 1), Pid: pid, Tid: tid, Cat: cat, Args: args})
+}
+
+func (l *lanes) instant(pid, tid int, cat, name string, ts int64, args map[string]any) {
+	*l = append(*l, chromeEvent{Name: name, Ph: "i", Ts: ts, Pid: pid, Tid: tid, Cat: cat, S: "t", Args: args})
+}
+
+// Track is one part of a Chrome trace document; build it with
+// SimTrack, WorkerTrack or RequestTrack.
+type Track struct {
+	render func(*lanes) error
+}
+
+// WriteChromeTrace renders the tracks, in order, as one Chrome
+// trace_event JSON document. Every track emits its process metadata
+// even when it holds no events, so an empty track still yields a
+// valid, labelled document.
+func WriteChromeTrace(w io.Writer, tracks ...Track) error {
+	var l lanes
+	for _, t := range tracks {
+		if err := t.render(&l); err != nil {
+			return err
+		}
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(chromeDoc{TraceEvents: events, DisplayTimeUnit: "ms"})
+	return enc.Encode(chromeDoc{TraceEvents: l, DisplayTimeUnit: "ms"})
 }
 
-// WriteChromeTrace renders the events as a Chrome trace_event JSON
-// document. banks and bankBusy describe the simulated system (the
-// bank busy time is the duration painted for each grant). An empty
-// window still yields a valid document: the process and bank thread
-// metadata with no slices.
-func WriteChromeTrace(w io.Writer, events []Event, banks, bankBusy int) error {
-	evs, err := simChromeEvents(events, banks, bankBusy)
-	if err != nil {
-		return err
-	}
-	return encodeChromeDoc(w, evs)
+// SimTrack is the banks/ports track of a traced simulation window.
+// banks and bankBusy describe the simulated system (the bank busy time
+// is the duration painted for each grant); an empty window still gets
+// the process and bank thread metadata. Bad geometry fails the write.
+func SimTrack(events []Event, banks, bankBusy int) Track {
+	return Track{func(l *lanes) error {
+		if banks <= 0 || bankBusy <= 0 {
+			return fmt.Errorf("obs: bad chrome trace geometry banks=%d busy=%d", banks, bankBusy)
+		}
+		l.process(chromePidBanks, "banks")
+		l.process(chromePidPorts, "ports")
+		for b := 0; b < banks; b++ {
+			l.thread(chromePidBanks, b, fmt.Sprintf("bank %d", b))
+		}
+		for _, p := range portsOf(events) {
+			name := fmt.Sprintf("port %d", p.id)
+			if p.label != "" {
+				name = fmt.Sprintf("port %d (stream %s)", p.id, p.label)
+			}
+			l.thread(chromePidPorts, p.id, name)
+		}
+		for _, e := range events {
+			if e.Granted() {
+				l.slice(chromePidBanks, e.Bank, "grant", "stream "+portName(e), e.Clock, int64(bankBusy),
+					map[string]any{"port": e.Port, "cpu": e.CPU})
+				continue
+			}
+			l.slice(chromePidPorts, e.Port, "delay", e.Kind.String()+" conflict", e.Clock, 1,
+				map[string]any{"bank": e.Bank, "blocker": e.Blocker})
+		}
+		return nil
+	}}
 }
 
-func meta(name string, pid, tid int, args map[string]any) chromeEvent {
-	return chromeEvent{Name: name, Ph: "M", Pid: pid, Tid: tid, Args: args}
+// WorkerTrack is the sweep worker track of an engine Timeline
+// (Timeline.Events or Snapshot.TimelineEvents). Timestamps are
+// nanoseconds mapped to the format's microseconds.
+func WorkerTrack(events []sweep.TimelineEvent) Track {
+	return Track{func(l *lanes) error {
+		l.process(chromePidWorkers, "sweep workers")
+		workers := map[int]bool{}
+		for _, e := range events {
+			workers[e.Worker] = true
+		}
+		ids := make([]int, 0, len(workers))
+		for id := range workers {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			l.thread(chromePidWorkers, id, fmt.Sprintf("worker %d", id))
+		}
+		for _, e := range events {
+			args := map[string]any{}
+			if e.Item >= 0 {
+				args["item"] = e.Item
+			}
+			if e.Family != "" {
+				args["family"] = e.Family
+			}
+			if len(args) == 0 {
+				args = nil
+			}
+			if e.Kind.Instant() {
+				l.instant(chromePidWorkers, e.Worker, "sweep", e.Kind.String(), e.StartNS/1000, args)
+			} else {
+				l.slice(chromePidWorkers, e.Worker, "sweep", e.Kind.String(), e.StartNS/1000, e.DurNS/1000, args)
+			}
+		}
+		return nil
+	}}
+}
+
+// RequestTrace is one completed, exportable request: identity, HTTP
+// outcome, when it ran (nanoseconds since the serving process's
+// epoch), and its recorded spans (relative to the request's start).
+type RequestTrace struct {
+	ID       string `json:"id"`
+	Endpoint string `json:"endpoint"`
+	Status   int    `json:"status"`
+	StartNS  int64  `json:"start_ns"`
+	DurNS    int64  `json:"dur_ns"`
+	Spans    []Span `json:"spans,omitempty"`
+}
+
+// RequestTrack is the track of completed requests: one thread per
+// request (named by its ID), holding the request slice and its span
+// children.
+func RequestTrack(reqs []RequestTrace) Track {
+	return Track{func(l *lanes) error {
+		l.process(chromePidRequests, "requests")
+		for tid, r := range reqs {
+			l.thread(chromePidRequests, tid, "req "+r.ID)
+			l.slice(chromePidRequests, tid, "request", r.Endpoint, r.StartNS/1000, r.DurNS/1000,
+				map[string]any{"id": r.ID, "status": fmt.Sprintf("%d", r.Status)})
+			for _, sp := range r.Spans {
+				l.slice(chromePidRequests, tid, "span", sp.Name, (r.StartNS+sp.StartNS)/1000, sp.DurNS/1000,
+					map[string]any{"id": r.ID})
+			}
+		}
+		return nil
+	}}
 }
 
 func portName(e Event) string {

@@ -14,7 +14,7 @@ import (
 
 // Regenerate the goldens with:
 //
-//	go test ./internal/obs -run TestExporterGolden -update
+//	go test ./internal/obs -run Golden -update
 var update = flag.Bool("update", false, "rewrite the exporter golden files")
 
 // theorem3Example traces the Theorem 3 synchronisation example: the
@@ -60,7 +60,7 @@ func golden(t *testing.T, name string, got []byte) {
 func TestExporterGoldenChromeTrace(t *testing.T) {
 	events := theorem3Example(t)
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events, 12, 3); err != nil {
+	if err := WriteChromeTrace(&buf, SimTrack(events, 12, 3)); err != nil {
 		t.Fatal(err)
 	}
 	golden(t, "chrometrace.json", buf.Bytes())
@@ -151,7 +151,7 @@ func TestChromeTraceEmptyWindow(t *testing.T) {
 	// An empty window (tracer attached but nothing ran) must still
 	// produce a loadable document: process/bank metadata, no slices.
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil, 4, 2); err != nil {
+	if err := WriteChromeTrace(&buf, SimTrack(nil, 4, 2)); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -19,7 +19,9 @@ import (
 
 // Progress tracks sweep completion against planned work. All methods
 // are safe for concurrent use; the zero value is not ready — build
-// with NewProgress.
+// with NewProgress. A nil *Progress is an inert sink (Add and Done do
+// nothing), so a possibly-nil tracker can be handed to
+// sweep.Options.Progress as is.
 type Progress struct {
 	total, done atomic.Int64
 	startNS     atomic.Int64 // wall clock of the first Add, ns since epoch
@@ -41,12 +43,19 @@ func NewProgress(prov *sweep.Provenance) *Progress {
 // Add announces total new planned work items (the engine calls it at
 // the start of every sweep). The first call starts the clock.
 func (p *Progress) Add(total int64) {
+	if p == nil {
+		return
+	}
 	p.startNS.CompareAndSwap(0, time.Now().UnixNano())
 	p.total.Add(total)
 }
 
 // Done records n completed work items.
-func (p *Progress) Done(n int64) { p.done.Add(n) }
+func (p *Progress) Done(n int64) {
+	if p != nil {
+		p.done.Add(n)
+	}
+}
 
 // ProgressSnapshot is one observation of a progress tracker.
 type ProgressSnapshot struct {
@@ -88,13 +97,9 @@ func (p *Progress) Line() string {
 	line := fmt.Sprintf("progress: %d/%d items (%.1f%%), %.1f items/s, ETA %s",
 		s.Done, s.Total, pctDone, s.Rate, fmtETA(s.ETA))
 	if p.prov != nil {
-		var analytic, cache, sim int64
-		ps := p.prov.Snapshot()
-		for _, f := range ps.Families {
-			analytic += f.Analytic
-			cache += f.CacheHits
-			sim += f.SimScalar + f.SimPacked
-		}
+		paths := p.prov.PathTotals()
+		analytic, cache := paths[sweep.PathAnalytic], paths[sweep.PathCache]
+		sim := paths[sweep.PathSimScalar] + paths[sweep.PathSimPacked]
 		if n := analytic + cache + sim; n > 0 {
 			line += fmt.Sprintf(" | paths: analytic %s, cache %s, sim %s",
 				pctOf(analytic, n), pctOf(cache, n), pctOf(sim, n))

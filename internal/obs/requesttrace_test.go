@@ -7,18 +7,33 @@ import (
 	"testing"
 )
 
+// syntheticRequests is a fixed set of completed requests: one with
+// spans, one sub-microsecond request without any.
+func syntheticRequests() []RequestTrace {
+	return []RequestTrace{
+		{ID: "req-a", Endpoint: "bandwidth", Status: 200, StartNS: 5_000, DurNS: 2_000_000,
+			Spans: []Span{{Name: "decode", StartNS: 100, DurNS: 50_000}, {Name: "simulate", StartNS: 60_000, DurNS: 1_500_000}}},
+		{ID: "req-b", Endpoint: "sweep", Status: 400, StartNS: 9_000_000, DurNS: 300},
+	}
+}
+
+// TestRequestTraceGolden pins the bytes of the request track, the
+// document /debug/requests.trace serves and the benchmark parses.
+func TestRequestTraceGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, RequestTrack(syntheticRequests())); err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "requesttrace.json", buf.Bytes())
+}
+
 // TestWriteRequestTrace checks the Chrome trace_event document built
 // from completed requests: the "requests" process metadata, one named
 // thread per request, the outer endpoint slice carrying the request ID
 // and status, and the span children.
 func TestWriteRequestTrace(t *testing.T) {
-	reqs := []RequestTrace{
-		{ID: "req-a", Endpoint: "bandwidth", Status: 200, StartNS: 5_000, DurNS: 2_000_000,
-			Spans: []Span{{Name: "decode", StartNS: 100, DurNS: 50_000}, {Name: "simulate", StartNS: 60_000, DurNS: 1_500_000}}},
-		{ID: "req-b", Endpoint: "sweep", Status: 400, StartNS: 9_000_000, DurNS: 300},
-	}
 	var buf bytes.Buffer
-	if err := WriteRequestTrace(&buf, reqs); err != nil {
+	if err := WriteChromeTrace(&buf, RequestTrack(syntheticRequests())); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -73,7 +88,7 @@ func TestWriteRequestTrace(t *testing.T) {
 // document (process metadata only).
 func TestWriteRequestTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteRequestTrace(&buf, nil); err != nil {
+	if err := WriteChromeTrace(&buf, RequestTrack(nil)); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any

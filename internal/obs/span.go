@@ -7,7 +7,7 @@ package obs
 // one), threads it through context.Context into the engine's resolve
 // path (it implements sweep.SpanSink), and exports completed requests
 // into the Chrome-trace writer as the "requests" process
-// (WriteRequestTrace) and into the slog access log. A nil TraceContext
+// (RequestTrack) and into the slog access log. A nil TraceContext
 // is fully detached: every method is a no-op that allocates nothing,
 // the same zero-cost contract as the detached tracer and timeline.
 

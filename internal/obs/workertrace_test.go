@@ -14,20 +14,20 @@ import (
 // a live run separately.
 func syntheticTimeline() []sweep.TimelineEvent {
 	return []sweep.TimelineEvent{
-		{Worker: 0, Kind: sweep.TimelineCanon, StartNS: 1_000, DurNS: 500, Item: -1, Family: "pair"},
-		{Worker: 0, Kind: sweep.TimelineCacheMiss, StartNS: 2_000, Item: -1, Family: "pair"},
-		{Worker: 0, Kind: sweep.TimelineFindCycle, StartNS: 2_500, DurNS: 40_000, Item: -1},
-		{Worker: 0, Kind: sweep.TimelineSimulate, StartNS: 2_500, DurNS: 45_000, Item: -1, Family: "pair"},
-		{Worker: 0, Kind: sweep.TimelineItem, StartNS: 1_000, DurNS: 50_000, Item: 0},
-		{Worker: 1, Kind: sweep.TimelineCanon, StartNS: 3_000, DurNS: 400, Item: -1, Family: "pair"},
-		{Worker: 1, Kind: sweep.TimelineCacheHit, StartNS: 4_000, Item: -1, Family: "pair"},
-		{Worker: 1, Kind: sweep.TimelineItem, StartNS: 3_000, DurNS: 2_000, Item: 1},
+		{Worker: 0, Kind: sweep.PhaseCanon, StartNS: 1_000, DurNS: 500, Item: -1, Family: "pair"},
+		{Worker: 0, Kind: sweep.PhaseCacheMiss, StartNS: 2_000, Item: -1, Family: "pair"},
+		{Worker: 0, Kind: sweep.PhaseFindCycle, StartNS: 2_500, DurNS: 40_000, Item: -1},
+		{Worker: 0, Kind: sweep.PhaseSimulate, StartNS: 2_500, DurNS: 45_000, Item: -1, Family: "pair"},
+		{Worker: 0, Kind: sweep.PhaseItem, StartNS: 1_000, DurNS: 50_000, Item: 0},
+		{Worker: 1, Kind: sweep.PhaseCanon, StartNS: 3_000, DurNS: 400, Item: -1, Family: "pair"},
+		{Worker: 1, Kind: sweep.PhaseCacheHit, StartNS: 4_000, Item: -1, Family: "pair"},
+		{Worker: 1, Kind: sweep.PhaseItem, StartNS: 3_000, DurNS: 2_000, Item: 1},
 	}
 }
 
 func TestWorkerTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteWorkerTrace(&buf, syntheticTimeline()); err != nil {
+	if err := WriteChromeTrace(&buf, WorkerTrack(syntheticTimeline())); err != nil {
 		t.Fatal(err)
 	}
 	golden(t, "workertrace.json", buf.Bytes())
@@ -35,7 +35,7 @@ func TestWorkerTraceGolden(t *testing.T) {
 
 func TestCombinedTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCombinedChromeTrace(&buf, theorem3Example(t), 12, 3, syntheticTimeline()); err != nil {
+	if err := WriteChromeTrace(&buf, SimTrack(theorem3Example(t), 12, 3), WorkerTrack(syntheticTimeline())); err != nil {
 		t.Fatal(err)
 	}
 	golden(t, "combinedtrace.json", buf.Bytes())
@@ -87,7 +87,7 @@ func TestWorkerTraceFromEngine(t *testing.T) {
 	e := sweep.NewEngine(sweep.Options{Workers: 4, Timeline: tl})
 	e.Grid(12, 3)
 	var buf bytes.Buffer
-	if err := WriteWorkerTrace(&buf, tl.Events()); err != nil {
+	if err := WriteChromeTrace(&buf, WorkerTrack(tl.Events())); err != nil {
 		t.Fatal(err)
 	}
 	s := parseTrace(t, buf.Bytes())
@@ -112,22 +112,21 @@ func TestWorkerTraceFromEngine(t *testing.T) {
 func TestCombinedTraceHalves(t *testing.T) {
 	// Worker-only: ivmablate's shape.
 	var buf bytes.Buffer
-	if err := WriteCombinedChromeTrace(&buf, nil, 0, 0, syntheticTimeline()); err != nil {
+	if err := WriteChromeTrace(&buf, WorkerTrack(syntheticTimeline())); err != nil {
 		t.Fatal(err)
 	}
 	s := parseTrace(t, buf.Bytes())
 	if s.instants != 2 || s.slices != 6 {
 		t.Errorf("worker-only trace has %d instants, %d slices", s.instants, s.slices)
 	}
-	// Sim-only: same events WriteChromeTrace would emit, plus the (empty)
-	// worker process metadata.
+	// Sim-only: the sim track plus the (empty) worker process metadata.
 	buf.Reset()
-	if err := WriteCombinedChromeTrace(&buf, theorem3Example(t), 12, 3, nil); err != nil {
+	if err := WriteChromeTrace(&buf, SimTrack(theorem3Example(t), 12, 3), WorkerTrack(nil)); err != nil {
 		t.Fatal(err)
 	}
 	parseTrace(t, buf.Bytes())
 	// Bad sim geometry still fails fast.
-	if err := WriteCombinedChromeTrace(&buf, theorem3Example(t), 0, 0, nil); err == nil {
+	if err := WriteChromeTrace(&buf, SimTrack(theorem3Example(t), 0, 0), WorkerTrack(nil)); err == nil {
 		t.Error("bad geometry accepted")
 	}
 }

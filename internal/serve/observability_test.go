@@ -389,3 +389,25 @@ func TestSanitizeRequestID(t *testing.T) {
 		}
 	}
 }
+
+// TestRingEviction wraps a ring past its capacity: the snapshot keeps
+// the newest values oldest-first, and the running total counts every
+// add, evicted or not.
+func TestRingEviction(t *testing.T) {
+	r := ring[int]{size: 3}
+	if got, total := r.snapshot(); len(got) != 0 || total != 0 {
+		t.Fatalf("empty ring: %v total %d", got, total)
+	}
+	for i := 1; i <= 2; i++ {
+		r.add(i)
+	}
+	if got, total := r.snapshot(); fmt.Sprint(got) != "[1 2]" || total != 2 {
+		t.Fatalf("under capacity: %v total %d", got, total)
+	}
+	for i := 3; i <= 7; i++ {
+		r.add(i)
+	}
+	if got, total := r.snapshot(); fmt.Sprint(got) != "[5 6 7]" || total != 7 {
+		t.Errorf("wrapped twice past capacity 3: %v total %d, want [5 6 7] total 7", got, total)
+	}
+}

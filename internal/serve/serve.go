@@ -68,10 +68,6 @@ type Options struct {
 	SlowThreshold time.Duration
 }
 
-// numPaths is the provenance path count ([sweep.PathAnalytic,
-// sweep.PathSimPacked] is the engine's full range).
-const numPaths = int(sweep.PathSimPacked) + 1
-
 // endpointStats is one endpoint's request counters.
 type endpointStats struct {
 	requests atomic.Int64
@@ -99,9 +95,8 @@ type Server struct {
 
 	endpoints [4]endpointStats
 	latency   [4]*obs.LatencyHist
-	paths     [numPaths]atomic.Int64
-	traces    traceRing
-	slow      slowRing
+	traces    ring[obs.RequestTrace]
+	slow      ring[slowEntry]
 }
 
 // New builds a server: a provenance-recording engine sized for the
@@ -132,6 +127,8 @@ func New(opt Options) (*Server, error) {
 		slowThreshold: opt.SlowThreshold,
 		start:         time.Now(),
 		idBase:        newIDBase(),
+		traces:        ring[obs.RequestTrace]{size: traceRingCapacity},
+		slow:          ring[slowEntry]{size: slowRingCapacity},
 	}
 	for i := range s.latency {
 		s.latency[i] = obs.NewLatencyHist()
@@ -310,13 +307,6 @@ func spanBreakdown(spans []obs.Span) string {
 	return out
 }
 
-// countPath folds one resolution into the hit-path counters.
-func (s *Server) countPath(p sweep.Path) {
-	if i := int(p); i >= 0 && i < numPaths {
-		s.paths[i].Add(1)
-	}
-}
-
 // promMetrics renders the ivmserved_* counters.
 func (s *Server) promMetrics() []obs.PromMetric {
 	req := obs.PromMetric{Name: "ivmserved_requests_total",
@@ -338,8 +328,8 @@ func (s *Server) promMetrics() []obs.PromMetric {
 	}
 	paths := obs.PromMetric{Name: "ivmserved_responses_total",
 		Help: "Query results returned, by answer path.", Type: "counter"}
-	for i := 0; i < numPaths; i++ {
-		paths = paths.Sample("path", sweep.Path(i).String(), s.paths[i].Load())
+	for i, n := range s.prov.PathTotals() {
+		paths = paths.Sample("path", sweep.Path(i).String(), n)
 	}
 	out := []obs.PromMetric{req, errs, secs, hist, paths,
 		obs.Gauge("ivmserved_cache_seeded_records",
@@ -400,7 +390,6 @@ func (s *Server) handleBandwidth(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.countPath(res.Path)
 	info.path = res.Path.String()
 	info.theorem = res.Theorem
 	info.family = res.Family
@@ -450,7 +439,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := BatchResponse{Results: make([]ResultJSON, len(results)), Paths: make(map[string]int)}
 	for i, res := range results {
-		s.countPath(res.Path)
 		resp.Results[i] = resultJSON(res)
 		resp.Paths[res.Path.String()]++
 	}
@@ -587,7 +575,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	es := info.tc.Start()
 	for b2, res := range results {
-		s.countPath(res.Path)
 		if err := enc.Encode(SweepRowJSON{B2: b2, ResultJSON: resultJSON(res)}); err != nil {
 			return // client gone; rows already written stand
 		}
@@ -608,7 +595,8 @@ func (s *Server) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	obs.WriteRequestTrace(w, s.traces.snapshot()) //nolint:errcheck // client gone
+	traces, _ := s.traces.snapshot()
+	obs.WriteChromeTrace(w, obs.RequestTrack(traces)) //nolint:errcheck // client gone
 }
 
 // handleHealthz reports liveness plus store integrity: 200 with

@@ -43,8 +43,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	}
 
 	b.WriteString("\nanswer paths\n------------\n")
-	for i := 0; i < numPaths; i++ {
-		fmt.Fprintf(&b, "%-12s %10d\n", sweep.Path(i).String(), s.paths[i].Load())
+	for i, n := range s.prov.PathTotals() {
+		fmt.Fprintf(&b, "%-12s %10d\n", sweep.Path(i).String(), n)
 	}
 
 	snap := s.eng.Snapshot()

@@ -45,8 +45,8 @@ type Options struct {
 	// default: per-event collection slows the hot loop.
 	CollectStats bool
 	// Timeline, when non-nil, records what each worker slot is doing
-	// (work-item spans, cache hit/miss instants, canonicalisation and
-	// simulation slices) for Chrome-trace export; nil (the default)
+	// — every phase of the answer route and each placement's verdict
+	// instant (phase.go) — for Chrome-trace export; nil (the default)
 	// records nothing and costs the hot path nothing.
 	Timeline *Timeline
 	// Provenance, when non-nil, records which path resolved every
@@ -522,26 +522,14 @@ func (e *Engine) run(n int, f func(w *worker, i int)) {
 	}
 	start := time.Now()
 	defer func() { e.wallNS.Add(time.Since(start).Nanoseconds()) }()
-	tl := e.opt.Timeline
-	progress := e.opt.Progress
-	if progress != nil {
-		progress.Add(int64(n))
+	if e.opt.Progress != nil {
+		e.opt.Progress.Add(int64(n))
 	}
-	lat := e.opt.ItemLatency
 	work := func(w *worker, i int) {
+		s := w.begin(PhaseItem)
 		t0 := time.Now()
-		ts := tl.Start()
 		f(w, i)
-		itemNS := time.Since(t0).Nanoseconds()
-		w.busyNS += itemNS
-		w.items++
-		tl.Slice(w.id, TimelineItem, ts, i, "")
-		if lat != nil {
-			lat.ObserveNS(itemNS)
-		}
-		if progress != nil {
-			progress.Done(1)
-		}
+		w.itemDone(s, i, time.Since(t0).Nanoseconds())
 	}
 	workers := e.workers()
 	if workers > n {
@@ -632,6 +620,10 @@ type worker struct {
 	cfg memsys.Config
 	col *stats.Collector
 
+	// sp is the span sink of the request the worker resolves for (nil
+	// on sweeps); see begin/end.
+	sp SpanSink
+
 	// Per-slot work totals, folded into the engine by finish().
 	items  int64
 	steps  int64
@@ -695,22 +687,20 @@ func (w *worker) flushStats() {
 	w.col = nil
 }
 
-// findCycle runs steady-state detection on the worker's simulator and
-// accounts for it in the engine counters.
-func (w *worker) findCycle(sys *memsys.System, what string) memsys.Cycle {
-	tl := w.e.opt.Timeline
-	t0 := time.Now()
-	ts := tl.Start()
-	c, err := sys.FindCycle(findCycleBudget)
-	w.e.cycleNS.Add(time.Since(t0).Nanoseconds())
-	tl.Slice(w.id, TimelineFindCycle, ts, -1, "")
-	if err != nil {
-		panic(fmt.Sprintf("sweep: %s: %v", what, err))
+// itemDone is the item-end observation point: the work item opened by
+// s (item index i, wall latency itemNS) reaches the per-slot totals,
+// the Timeline, Options.ItemLatency and Options.Progress.
+func (w *worker) itemDone(s phaseSpan, i int, itemNS int64) {
+	w.busyNS += itemNS
+	w.items++
+	opt := &w.e.opt
+	opt.Timeline.Slice(w.id, PhaseItem, s.tl, i, "")
+	if opt.ItemLatency != nil {
+		opt.ItemLatency.ObserveNS(itemNS)
 	}
-	w.e.cycles.Add(1)
-	w.e.steps.Add(c.Lead + c.Length)
-	w.steps += c.Lead + c.Length
-	return c
+	if opt.Progress != nil {
+		opt.Progress.Done(1)
+	}
 }
 
 func (w *worker) sweepPair(m, nc, d1, d2 int) PairResult {
@@ -846,18 +836,24 @@ func (w *worker) compile(spec ConfigSpec) *compiledSpec {
 	return cs
 }
 
+// place writes the configuration vector (d_1..d_N, b_1..b_N) of the
+// placement b into cs.vec.
+func (cs *compiledSpec) place(b []int) {
+	n := len(cs.spec.Streams)
+	for i, st := range cs.spec.Streams {
+		cs.vec[i] = st.D
+	}
+	copy(cs.vec[n:], b)
+}
+
 // key canonicalises the placement b of the compiled spec and returns
 // its cache key, leaving the canonical configuration vector in cs.vec.
 // The canonical representative is the lexicographically smallest
 // member of the placement's orbit under the spec's pipeline, so
 // isomorphic placements collide in the cache by construction.
 func (cs *compiledSpec) key(b []int) cacheKey {
-	n := len(cs.spec.Streams)
-	for i, st := range cs.spec.Streams {
-		cs.vec[i] = st.D
-	}
-	copy(cs.vec[n:], b)
-	cs.canon.Canonicalize(cs.vec, n)
+	cs.place(b)
+	cs.canon.Canonicalize(cs.vec, len(cs.spec.Streams))
 	return cacheKey{
 		family: cs.family,
 		m:      cs.spec.M,
@@ -882,153 +878,114 @@ func (cs *compiledSpec) twoStreamBW(w *worker) func(b2 int) rat.Rational {
 // the requested placement — so the cached value is exactly what any
 // placement of the orbit would produce.
 func (w *worker) bw(cs *compiledSpec, b []int) rat.Rational {
-	v, _ := w.resolve(cs, b, false)
-	return v
+	return w.resolveSpans(cs, b).BW
 }
 
-// resolution is the per-placement attribution resolve reports beside
-// the bandwidth: the path taken, the gate's theorem identifier on
-// analytic answers, the canonical configuration vector (copied only
-// when the caller asked for it), and the simulation cost on misses.
-type resolution struct {
-	path     Path
-	theorem  string
-	canon    []int
-	cycleLen int64
-	clocks   int64
-}
-
-// canonCopy copies the canonical vector when the caller wants it
-// returned; the scratch vector itself is reused per work item.
-func canonCopy(vec []int, want bool) []int {
-	if !want {
-		return nil
-	}
-	return append([]int(nil), vec...)
-}
-
-// resolve is the engine's single answer route: analytic gate, then
-// canonical-key cache, then simulation of the canonical representative,
-// reporting which path resolved the placement. bw is its thin wrapper;
-// Engine.Resolve surfaces the attribution to API callers.
-func (w *worker) resolve(cs *compiledSpec, b []int, wantCanon bool) (rat.Rational, resolution) {
-	return w.resolveSpans(cs, b, wantCanon, nil)
-}
-
-// resolveSpans is resolve with an optional request-scoped span sink:
-// when sp is non-nil (a query arrived through ResolveCtx with a sink
-// on its context) the gate probe, canonicalisation, cache probe and
-// simulation phases are reported as named spans. A nil sink costs the
-// path only nil checks — the detached-span zero-allocation guard pins
-// that.
-func (w *worker) resolveSpans(cs *compiledSpec, b []int, wantCanon bool, sp SpanSink) (rat.Rational, resolution) {
-	e := w.e
-	tl := e.opt.Timeline
-	prov := e.opt.Provenance
+// resolveSpans is the engine's single answer route: analytic gate,
+// then canonical-key cache, then simulation of the canonical
+// representative. Each phase is bracketed by one begin/end pair on the
+// worker's probe (phase.go), and the answer reaches its observers
+// through one resolved call. The returned Resolution's Canonical
+// aliases the compiled spec's scratch vector; callers that keep it
+// copy it.
+func (w *worker) resolveSpans(cs *compiledSpec, b []int) Resolution {
 	if cs.gate != nil {
-		var gs int64
-		if sp != nil {
-			gs = sp.Start()
-		}
+		s := w.begin(PhaseGate)
 		v, ok := cs.gate.BandwidthAt(b[0], b[1])
-		if sp != nil {
-			sp.Span(SpanGate, gs)
-		}
+		w.end(s, cs.family)
 		if ok {
-			cs.counter.analytic.Add(1)
-			tl.Instant(w.id, TimelineAnalytic, -1, cs.family)
-			prov.Analytic(cs.family, cs.gateTheorem)
-			return v, resolution{path: PathAnalytic, theorem: cs.gateTheorem}
+			return w.resolved(cs, Resolution{BW: v, Family: cs.family, Path: PathAnalytic, Theorem: cs.gateTheorem}, nil)
 		}
 	}
-	packed := cs.kernel == memsys.KernelPacked
-	simPath := PathSimScalar
-	if packed {
-		simPath = PathSimPacked
-	}
-	cache := e.memo()
+	cache := w.e.memo()
+	var key *cacheKey
 	if cache == nil {
-		n := len(cs.spec.Streams)
-		for i, st := range cs.spec.Streams {
-			cs.vec[i] = st.D
+		cs.place(b)
+	} else {
+		s := w.begin(PhaseCanon)
+		k := cs.key(b)
+		w.end(s, cs.family)
+		s = w.begin(PhaseCacheProbe)
+		bw, ok := cache.get(k)
+		w.end(s, cs.family)
+		if ok {
+			return w.resolved(cs, Resolution{BW: bw, Family: cs.family, Path: PathCache, Canonical: cs.vec}, &k)
 		}
-		copy(cs.vec[n:], b)
-		var ss int64
-		if sp != nil {
-			ss = sp.Start()
-		}
-		bw, c := w.simulate(cs, cs.vec)
-		if sp != nil {
-			sp.Span(SpanSimulate, ss)
-		}
-		prov.Simulated(cs.family, cs.spec.M, cs.spec.S, cs.spec.NC, cs.vec, packed, c.Length, c.Lead+c.Length)
-		return bw, resolution{path: simPath, cycleLen: c.Length, clocks: c.Lead + c.Length}
-	}
-	ts := tl.Start()
-	var ks int64
-	if sp != nil {
-		ks = sp.Start()
-	}
-	key := cs.key(b)
-	if sp != nil {
-		sp.Span(SpanCanon, ks)
-	}
-	tl.Slice(w.id, TimelineCanon, ts, -1, cs.family)
-	var ps int64
-	if sp != nil {
-		ps = sp.Start()
-	}
-	bw, ok := cache.get(key)
-	if sp != nil {
-		sp.Span(SpanCacheProbe, ps)
-	}
-	if ok {
-		e.hit(cs.counter, key)
-		tl.Instant(w.id, TimelineCacheHit, -1, cs.family)
-		prov.CacheHit(cs.family, cs.spec.M, cs.spec.S, cs.spec.NC, cs.vec)
-		return bw, resolution{path: PathCache, canon: canonCopy(cs.vec, wantCanon)}
-	}
-	e.miss(cs.counter)
-	tl.Instant(w.id, TimelineCacheMiss, -1, cs.family)
-	ts = tl.Start()
-	var ss int64
-	if sp != nil {
-		ss = sp.Start()
+		key = &k
 	}
 	bw, c := w.simulate(cs, cs.vec)
-	if sp != nil {
-		sp.Span(SpanSimulate, ss)
+	r := Resolution{BW: bw, Family: cs.family, Path: PathSimScalar, CycleLength: c.Length, Clocks: c.Lead + c.Length}
+	if cs.kernel == memsys.KernelPacked {
+		r.Path = PathSimPacked
 	}
-	tl.Slice(w.id, TimelineSimulate, ts, -1, cs.family)
-	prov.Simulated(cs.family, cs.spec.M, cs.spec.S, cs.spec.NC, cs.vec, packed, c.Length, c.Lead+c.Length)
-	cache.put(key, bw)
-	if sink := e.opt.CacheSink; sink != nil {
-		sink.Put(CacheRecord{
-			Family: cs.family,
-			M:      cs.spec.M, S: cs.spec.S, NC: cs.spec.NC,
-			CPUs: append([]int(nil), cs.cpuList...),
-			Vec:  append([]int(nil), cs.vec...),
-			BW:   bw,
-		})
+	if key != nil {
+		cache.put(*key, bw)
+		r.Canonical = cs.vec
 	}
-	return bw, resolution{path: simPath, canon: canonCopy(cs.vec, wantCanon), cycleLen: c.Length, clocks: c.Lead + c.Length}
+	return w.resolved(cs, r, key)
 }
 
-func (e *Engine) hit(c *familyCounter, key cacheKey) {
-	c.hits.Add(1)
-	if e.onHit != nil {
-		e.onHit(key)
+// resolved is the one point where a placement's answer reaches its
+// observers. key is the cache key when the cache was consulted, nil
+// otherwise (analytic answers, caching disabled). The verdict — an
+// analytic hit, or a cache hit or miss when the cache was consulted —
+// goes to the family counters and the Timeline as one instant; a cache
+// hit also reaches the onHit test hook, and a fresh simulation entering
+// the cache the CacheSink. Provenance records every placement; cs.vec
+// is the configuration vector that keyed the cache or was simulated.
+func (w *worker) resolved(cs *compiledSpec, r Resolution, key *cacheKey) Resolution {
+	e := w.e
+	verdict := Phase(-1) // simulated without a cache: no cache traffic
+	switch {
+	case r.Path == PathAnalytic:
+		verdict = PhaseAnalyticHit
+		cs.counter.analytic.Add(1)
+	case key == nil:
+	case r.Path == PathCache:
+		verdict = PhaseCacheHit
+		cs.counter.hits.Add(1)
+		if e.onHit != nil {
+			e.onHit(*key)
+		}
+	default:
+		verdict = PhaseCacheMiss
+		cs.counter.misses.Add(1)
+		if sink := e.opt.CacheSink; sink != nil {
+			sink.Put(CacheRecord{
+				Family: cs.family,
+				M:      cs.spec.M, S: cs.spec.S, NC: cs.spec.NC,
+				CPUs: append([]int(nil), cs.cpuList...),
+				Vec:  append([]int(nil), cs.vec...),
+				BW:   r.BW,
+			})
+		}
 	}
+	if verdict >= 0 {
+		e.opt.Timeline.Instant(w.id, verdict, -1, cs.family)
+	}
+	e.opt.Provenance.Record(r, cs.spec.M, cs.spec.S, cs.spec.NC, cs.vec)
+	return r
 }
-
-func (e *Engine) miss(c *familyCounter) { c.misses.Add(1) }
 
 // simulate runs the compiled spec at configuration vector v on the
-// worker's reusable simulator, returning the bandwidth and the
-// detected steady state (for provenance records).
+// worker's reusable simulator — the simulate phase, with steady-state
+// detection nested inside it as find-cycle — and returns the bandwidth
+// and the detected steady state, accounted in the engine counters.
 func (w *worker) simulate(cs *compiledSpec, v []int) (rat.Rational, memsys.Cycle) {
+	sim := w.begin(PhaseSimulate)
 	sys := w.system(cs.cfg, cs.kernel)
 	addSpecStreams(sys, cs.spec, v)
-	c := w.findCycle(sys, describeSpec(cs.spec, v))
+	fc := w.begin(PhaseFindCycle)
+	t0 := time.Now()
+	c, err := sys.FindCycle(findCycleBudget)
+	w.e.cycleNS.Add(time.Since(t0).Nanoseconds())
+	w.end(fc, cs.family)
+	if err != nil {
+		panic(fmt.Sprintf("sweep: %s: %v", describeSpec(cs.spec, v), err))
+	}
+	w.e.cycles.Add(1)
+	w.e.steps.Add(c.Lead + c.Length)
+	w.steps += c.Lead + c.Length
+	w.end(sim, cs.family)
 	return c.EffectiveBandwidth(), c
 }

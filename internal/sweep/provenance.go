@@ -152,56 +152,52 @@ func (p *Provenance) orbit(f *famProvenance, key orbitKey, vec []int) *orbitProv
 	return o
 }
 
-// Analytic records a placement answered by the classifier gate under
-// the given theorem/equation identifier (core.PairGate.TheoremID).
-func (p *Provenance) Analytic(family, theorem string) {
+// Record records one resolved placement under its family: the path
+// taken, with the theorem/equation identifier on analytic answers
+// (core.PairGate.TheoremID) and the detected steady state (cycle
+// length and lead+cycle clocks) on simulations. Cache hits and
+// simulations also count toward the orbit row of vec, the
+// configuration vector that keyed the cache or was simulated in an
+// (m, s, nc) memory.
+func (p *Provenance) Record(r Resolution, m, s, nc int, vec []int) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	f := p.family(family)
-	f.paths[PathAnalytic]++
-	f.theorems[theorem]++
+	f := p.family(r.Family)
+	f.paths[r.Path]++
+	if r.Path == PathAnalytic {
+		f.theorems[r.Theorem]++
+	} else {
+		f.clocks += r.Clocks // zero on cache hits
+		if o := p.orbit(f, orbitKey{m, s, nc, packInts(vec)}, vec); o != nil {
+			if r.Path == PathCache {
+				o.hits++
+			} else {
+				o.misses++
+				o.cycleLen = r.CycleLength
+			}
+			o.clocks += r.Clocks
+		}
+	}
 	p.mu.Unlock()
 }
 
-// CacheHit records a placement answered from the canonical-key cache;
-// vec is the canonical configuration vector the key was built from.
-func (p *Provenance) CacheHit(family string, m, s, nc int, vec []int) {
+// PathTotals returns the placements recorded per path across all
+// families, indexed by Path (all zero on a nil recorder).
+func (p *Provenance) PathTotals() [numPaths]int64 {
+	var out [numPaths]int64
 	if p == nil {
-		return
+		return out
 	}
 	p.mu.Lock()
-	f := p.family(family)
-	f.paths[PathCache]++
-	if o := p.orbit(f, orbitKey{m, s, nc, packInts(vec)}, vec); o != nil {
-		o.hits++
+	for _, f := range p.fams {
+		for i, n := range f.paths {
+			out[i] += n
+		}
 	}
 	p.mu.Unlock()
-}
-
-// Simulated records a placement that had to be simulated (a cache
-// miss, or any placement when caching is disabled): the kernel it ran
-// on, the canonical configuration vector that was simulated, and the
-// detected steady state (cycle length and lead+cycle clocks stepped).
-func (p *Provenance) Simulated(family string, m, s, nc int, vec []int, packed bool, cycleLen, clocks int64) {
-	if p == nil {
-		return
-	}
-	path := PathSimScalar
-	if packed {
-		path = PathSimPacked
-	}
-	p.mu.Lock()
-	f := p.family(family)
-	f.paths[path]++
-	f.clocks += clocks
-	if o := p.orbit(f, orbitKey{m, s, nc, packInts(vec)}, vec); o != nil {
-		o.misses++
-		o.cycleLen = cycleLen
-		o.clocks += clocks
-	}
-	p.mu.Unlock()
+	return out
 }
 
 // --- Aggregated snapshot ------------------------------------------------

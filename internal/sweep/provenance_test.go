@@ -279,9 +279,9 @@ func TestDetachedProvenanceAllocatesNothing(t *testing.T) {
 	var p *Provenance
 	vec := []int{1, 6, 0, 7}
 	if allocs := testing.AllocsPerRun(500, func() {
-		p.Analytic("pair", "theorem-3")
-		p.CacheHit("pair", 13, 0, 4, vec)
-		p.Simulated("pair", 13, 0, 4, vec, true, 13, 26)
+		p.Record(Resolution{Family: "pair", Path: PathAnalytic, Theorem: "theorem-3"}, 13, 0, 4, nil)
+		p.Record(Resolution{Family: "pair", Path: PathCache}, 13, 0, 4, vec)
+		p.Record(Resolution{Family: "pair", Path: PathSimPacked, CycleLength: 13, Clocks: 26}, 13, 0, 4, vec)
 	}); allocs != 0 {
 		t.Errorf("detached provenance allocates %.1f objects/record, want 0", allocs)
 	}

@@ -5,12 +5,13 @@ package sweep
 // tables, Resolve answers ONE placement — b_eff plus the attribution
 // the server returns per response (which path answered, under which
 // theorem, via which canonical orbit). The resolution route is
-// worker.resolve, the same code the sweeps run, so served answers are
+// worker.resolveSpans, the same code the sweeps run, so served answers are
 // byte-identical to ivmsweep's.
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ivm/internal/rat"
 )
@@ -107,19 +108,11 @@ func (e *Engine) ResolveBatchCtx(ctx context.Context, specs []ConfigSpec) ([]Res
 	out := make([]Resolution, len(specs))
 	e.run(len(specs), func(w *worker, i int) {
 		e.pairs.Add(1)
+		w.sp = sp
 		cs := w.compile(specs[i])
-		var bw rat.Rational
-		var r resolution
-		bw, r = w.resolveSpans(cs, cs.b, true, sp)
-		out[i] = Resolution{
-			BW:          bw,
-			Family:      cs.family,
-			Path:        r.path,
-			Theorem:     r.theorem,
-			Canonical:   r.canon,
-			CycleLength: r.cycleLen,
-			Clocks:      r.clocks,
-		}
+		r := w.resolveSpans(cs, cs.b)
+		r.Canonical = slices.Clone(r.Canonical)
+		out[i] = r
 	})
 	return out, nil
 }

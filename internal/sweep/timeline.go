@@ -1,102 +1,34 @@
 package sweep
 
 import (
-	"encoding/json"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 )
 
 // Worker timeline: when Options.Timeline is set, the engine records
-// what each pool slot was doing and when — work-item slices, cache
-// hit/miss decisions, canonicalisation and simulation spans — as
-// wall-clock events relative to the timeline's epoch. The recording
-// is lock-per-event and off by default (a nil Timeline is a no-op on
-// every method), so the sweeping hot path pays nothing unless a CLI
-// asked for a trace. obs.WriteWorkerTrace renders the events as a
-// Chrome trace_event document.
-
-// TimelineKind classifies one timeline event.
-type TimelineKind int
-
-// The timeline event kinds. Slices (Item, Canon, Simulate, FindCycle)
-// carry a duration; CacheHit and CacheMiss are instants marking the
-// memo-cache decision of one placement.
-const (
-	// TimelineItem spans one work item (a sweep unit) on a worker.
-	TimelineItem TimelineKind = iota
-	// TimelineCanon spans the canonicalisation of one placement into
-	// its cache key.
-	TimelineCanon
-	// TimelineSimulate spans one cache-miss simulation (including its
-	// steady-state detection).
-	TimelineSimulate
-	// TimelineFindCycle spans one steady-state detection run.
-	TimelineFindCycle
-	// TimelineCacheHit marks a placement answered from the memo cache.
-	TimelineCacheHit
-	// TimelineCacheMiss marks a placement that had to be simulated.
-	TimelineCacheMiss
-	// TimelineAnalytic marks a placement answered by the theorem-driven
-	// classifier gate, bypassing cache and simulator entirely.
-	TimelineAnalytic
-)
-
-var timelineKindNames = [...]string{
-	TimelineItem:      "item",
-	TimelineCanon:     "canonicalise",
-	TimelineSimulate:  "simulate",
-	TimelineFindCycle: "find-cycle",
-	TimelineCacheHit:  "cache-hit",
-	TimelineCacheMiss: "cache-miss",
-	TimelineAnalytic:  "analytic-hit",
-}
-
-// String names the kind ("item", "cache-hit", ...).
-func (k TimelineKind) String() string {
-	if k < 0 || int(k) >= len(timelineKindNames) {
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-	return timelineKindNames[k]
-}
-
-// Instant reports whether the kind is an instant (no duration).
-func (k TimelineKind) Instant() bool {
-	return k == TimelineCacheHit || k == TimelineCacheMiss || k == TimelineAnalytic
-}
-
-// MarshalJSON encodes the kind by name, keeping snapshots readable.
-func (k TimelineKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
-
-// UnmarshalJSON inverts MarshalJSON.
-func (k *TimelineKind) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	for i, name := range timelineKindNames {
-		if name == s {
-			*k = TimelineKind(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("sweep: unknown timeline kind %q", s)
-}
+// every phase of the answer route (phase.go) — work-item slices, gate,
+// canonicalisation, cache-probe, simulation and steady-state detection
+// slices, and the per-placement verdict instants — as wall-clock events
+// relative to the timeline's epoch, stamped with the worker and the
+// configuration family. The recording is lock-per-event and off by
+// default (a nil Timeline is a no-op on every method), so the sweeping
+// hot path pays nothing unless a CLI asked for a trace.
+// obs.WorkerTrack renders the events as a Chrome trace_event process.
 
 // TimelineEvent is one recorded slice or instant.
 type TimelineEvent struct {
-	Worker int          `json:"worker"` // pool slot
-	Kind   TimelineKind `json:"kind"`
+	Worker int   `json:"worker"` // pool slot
+	Kind   Phase `json:"kind"`
 	// StartNS is nanoseconds since the timeline's epoch; DurNS is the
 	// slice duration (0 for instants).
 	StartNS int64 `json:"start_ns"`
 	DurNS   int64 `json:"dur_ns,omitempty"`
-	// Item is the work-item index the event belongs to, -1 when the
-	// recording site does not know it (steady-state detection).
+	// Item is the work-item index of an item slice, -1 on every other
+	// phase.
 	Item int `json:"item"`
-	// Family is the configuration family being swept ("" when the
-	// recording site does not know it).
+	// Family is the configuration family being swept ("" on item
+	// slices, which may span several families).
 	Family string `json:"family,omitempty"`
 }
 
@@ -136,7 +68,7 @@ func (t *Timeline) Start() int64 {
 
 // Slice records a span that began at startNS (a Start stamp) and ends
 // now.
-func (t *Timeline) Slice(worker int, kind TimelineKind, startNS int64, item int, family string) {
+func (t *Timeline) Slice(worker int, kind Phase, startNS int64, item int, family string) {
 	if t == nil {
 		return
 	}
@@ -148,7 +80,7 @@ func (t *Timeline) Slice(worker int, kind TimelineKind, startNS int64, item int,
 }
 
 // Instant records a zero-duration event stamped now.
-func (t *Timeline) Instant(worker int, kind TimelineKind, item int, family string) {
+func (t *Timeline) Instant(worker int, kind Phase, item int, family string) {
 	if t == nil {
 		return
 	}

@@ -22,10 +22,12 @@
 # through the access log, the Chrome trace export and the
 # request-duration histogram (docs/SERVING.md).
 #
-# Golden files: the exporter tests in internal/obs compare against
-# testdata/; after an intentional output change, regenerate with
+# Golden files: the exporter tests in internal/obs (every Test*Golden*:
+# the Chrome trace tracks, the strip chart and the phase histogram)
+# compare against testdata/; after an intentional output change,
+# regenerate with
 #
-#	go test ./internal/obs -run TestExporterGolden -update
+#	go test ./internal/obs -run Golden -update
 #
 # and review the testdata diff before committing.
 set -euo pipefail
@@ -63,6 +65,11 @@ go test -race ./internal/memsys ./internal/sweep
 # analytic gate and packed kernel forced on against the same sweeps
 # forced off — so this pass exercises the fast path both on and off.
 go test -race -short -run Differential ./internal/memsys ./internal/sweep
+
+# The answer route's observer seam (internal/sweep/phase.go) is reached
+# from every worker at once: resolve one batch on four workers with
+# every observer attached, repeatedly, under the race detector.
+go test -race -count=10 -run TestObserverSeamConcurrent ./internal/sweep
 
 # The benchmark module has its own go.mod (replace ivm => ../), so
 # neither `go build ./...` nor the test runs above enter it; build, vet
