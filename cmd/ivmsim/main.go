@@ -58,6 +58,12 @@ func main() {
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
 
+	if err := validateSimFlags(*clocks, *statsClocks); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
+
 	stop, err := prof.Start()
 	if err != nil {
 		fail("%v", err)
@@ -233,6 +239,19 @@ func main() {
 	if err := stop(); err != nil {
 		fail("%v", err)
 	}
+}
+
+// validateSimFlags rejects negative clock counts, which neither the
+// timeline recorder nor the statistics run can size, with a usage
+// error before any work starts.
+func validateSimFlags(clocks, statsClocks int64) error {
+	if clocks < 0 {
+		return fmt.Errorf("-clocks wants a non-negative timeline width, got %d", clocks)
+	}
+	if statsClocks < 0 {
+		return fmt.Errorf("-statsclocks wants a non-negative clock count, got %d", statsClocks)
+	}
+	return nil
 }
 
 func writeFile(path string, write func(*os.File) error) error {

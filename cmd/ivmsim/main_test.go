@@ -1,6 +1,45 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// argsEnv carries the flags of a re-executed test binary: when it is
+// set, TestMain runs main on them instead of the tests, so flag
+// handling is checked through the real exit path.
+const argsEnv = "IVMSIM_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(argsEnv); ok {
+		os.Args = append([]string{"ivmsim"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs ivmsim with args in a child process.
+func runMain(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), argsEnv+"="+strings.Join(args, "\n"))
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), out.String(), errOut.String()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, out.String(), errOut.String()
+}
 
 func TestParseStreams(t *testing.T) {
 	specs, err := parseStreams("0:1,3:7:1", 12, 2)
@@ -52,6 +91,26 @@ func TestParseStreamsErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := parseStreams(c, 16, 2); err == nil {
 			t.Errorf("parseStreams(%q): expected error", c)
+		}
+	}
+}
+
+// A clock count the simulator cannot size exits 2 before any work
+// starts: one error line then the usage on stderr, nothing on stdout,
+// no panic.
+func TestBadFlagsExitTwo(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-clocks", "-5"}, "-clocks"},
+		{[]string{"-statsclocks", "-1", "-stats"}, "-statsclocks"},
+	} {
+		code, stdout, stderr := runMain(t, c.args...)
+		first, rest, _ := strings.Cut(stderr, "\n")
+		if code != 2 || !strings.Contains(first, c.want) || !strings.HasPrefix(rest, "Usage of") ||
+			stdout != "" || strings.Contains(stderr, "panic:") {
+			t.Errorf("ivmsim %v: exit %d, stdout %q, stderr:\n%s", c.args, code, stdout, stderr)
 		}
 	}
 }

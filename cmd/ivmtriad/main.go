@@ -42,11 +42,11 @@ func main() {
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	packed, err := sweep.KernelOption(*kernelName)
+	packed, err := validateTriadFlags(*n, *maxInc, *kernelName)
 	if err != nil {
-		fmt.Println(err)
+		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
-		return
+		os.Exit(2)
 	}
 
 	stopProf, err := prof.Start()
@@ -114,4 +114,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// validateTriadFlags rejects a vector length or increment range the
+// triad cannot run and an unknown -kernel with a usage error, before
+// any work starts, and returns the -bounds engine's kernel option.
+func validateTriadFlags(n, maxInc int, kernel string) (packed *bool, err error) {
+	if n < 1 {
+		return nil, fmt.Errorf("-n wants a vector length of at least 1, got %d", n)
+	}
+	if maxInc < 0 {
+		return nil, fmt.Errorf("-maxinc wants a non-negative increment, got %d", maxInc)
+	}
+	return sweep.KernelOption(kernel)
 }

@@ -2,7 +2,11 @@
 // Interleaved Memories in Vector Processor Systems", IEEE Transactions
 // on Computers C-34(10), 1985.
 //
-// The repository contains:
+// The package itself is a small facade over the analytic model and the
+// simulator: Analyze classifies a pair of access streams, SteadyBandwidth
+// measures the exact cyclic-state bandwidth and Timeline renders the
+// paper-style bank × clock diagram. The rest of the reproduction lives
+// in internal packages:
 //
 //   - internal/core — the paper's analytic model (Theorems 1–9,
 //     Eqs. 29–32) and a conflict-regime classifier;

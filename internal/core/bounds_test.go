@@ -127,10 +127,11 @@ func TestPairBandwidthBoundsSandwichSimulation(t *testing.T) {
 	if !c.EffectiveBandwidth().Equal(lo) {
 		t.Fatalf("degenerate pair b_eff %s, lower bound %s should be tight", c.EffectiveBandwidth(), lo)
 	}
-	// Tight above: a conflict-free pair attains the port bound of 2.
-	_, hi := PairBandwidthBounds(12, 3, 1, 7)
-	if !hi.Equal(rat.New(2, 1)) {
-		t.Fatalf("conflict-free pair upper bound %s, want 2", hi)
+	// Tight above: a conflict-free pair attains the port bound of 2;
+	// below it still only guarantees one bank's 1/n_c.
+	lo, hi := PairBandwidthBounds(12, 3, 1, 7)
+	if !lo.Equal(rat.New(1, 3)) || !hi.Equal(rat.New(2, 1)) {
+		t.Fatalf("conflict-free pair bounds [%s, %s], want [1/3, 2]", lo, hi)
 	}
 }
 

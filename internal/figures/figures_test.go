@@ -139,6 +139,9 @@ func TestTimelineRendering(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
+	if n := len(All()); n != 9 {
+		t.Fatalf("All() has %d figures, want 9", n)
+	}
 	for _, id := range []string{"2", "3", "4", "5", "6", "7", "8a", "8b", "9"} {
 		f, err := ByID(id)
 		if err != nil || f.ID != id {

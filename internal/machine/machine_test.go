@@ -20,6 +20,9 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.VectorLength != 64 || cfg.LoadPorts != 2 || cfg.StorePorts != 1 {
 		t.Fatalf("defaults: %+v", cfg)
 	}
+	if vl := DefaultConfig().VectorLength; vl != 64 {
+		t.Fatalf("DefaultConfig vector length %d, want 64", vl)
+	}
 	if cfg.ClockNS != 9.5 {
 		t.Fatalf("clock: %v", cfg.ClockNS)
 	}

@@ -72,6 +72,14 @@ func TestSingleStreamFullBandwidth(t *testing.T) {
 	if c := sys.Ports()[0].Count; c.Delays() != 0 {
 		t.Fatalf("unexpected delays: %+v", c)
 	}
+
+	// The finite form drains in exactly one clock per element.
+	sys = New(cfg1(8, 2))
+	p := sys.AddPort(0, "1", NewStrided(0, 1, 32))
+	clocks, done := sys.RunUntilDone(1000)
+	if !done || clocks != 32 || p.Count.Grants != 32 {
+		t.Fatalf("finite stream: clocks=%d done=%v grants=%d, want 32/true/32", clocks, done, p.Count.Grants)
+	}
 }
 
 // Section III-A: a single stream with r < nc self-conflicts at its start

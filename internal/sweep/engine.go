@@ -961,7 +961,7 @@ func (w *worker) resolved(cs *compiledSpec, r Resolution, key *cacheKey) Resolut
 		}
 	}
 	if verdict >= 0 {
-		e.opt.Timeline.Instant(w.id, verdict, -1, cs.family)
+		e.opt.Timeline.Instant(w.id, verdict, cs.family)
 	}
 	e.opt.Provenance.Record(r, cs.spec.M, cs.spec.S, cs.spec.NC, cs.vec)
 	return r

@@ -85,6 +85,7 @@ func TestEngineSweepSpecMatchesSequential(t *testing.T) {
 		SectionPairSpec(12, 3, 2, 1, 4),
 		TripleSpec(5, 2, [3]int{1, 2, 3}),
 		NStreamSpec(4, 1, []int{1, 1, 2, 3}),
+		NStreamSpec(4, 1, []int{0, 1, 3}),
 		// A sectioned three-stream shape no legacy family covers.
 		{M: 8, S: 2, NC: 2, Streams: []Stream{
 			{D: 1, CPU: 0}, {D: 2, CPU: 0, Sweep: true}, {D: 2, CPU: 1, Sweep: true},

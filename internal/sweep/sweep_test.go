@@ -51,8 +51,8 @@ func TestGridsAgree(t *testing.T) {
 			}
 			t.Fatalf("m=%d nc=%d: %d disagreements", g.m, g.nc, len(s.Disagree))
 		}
-		if s.Pairs == 0 {
-			t.Fatalf("m=%d nc=%d: empty grid", g.m, g.nc)
+		if s.Pairs == 0 || s.Pairs != len(results) {
+			t.Fatalf("m=%d nc=%d: summary counts %d of %d pairs", g.m, g.nc, s.Pairs, len(results))
 		}
 	}
 }

@@ -79,13 +79,14 @@ func (t *Timeline) Slice(worker int, kind Phase, startNS int64, item int, family
 	})
 }
 
-// Instant records a zero-duration event stamped now.
-func (t *Timeline) Instant(worker int, kind Phase, item int, family string) {
+// Instant records a zero-duration event stamped now. Instants mark a
+// placement's verdict, not a work item, so their Item is -1.
+func (t *Timeline) Instant(worker int, kind Phase, family string) {
 	if t == nil {
 		return
 	}
 	t.record(TimelineEvent{
-		Worker: worker, Kind: kind, StartNS: time.Since(t.epoch).Nanoseconds(), Item: item, Family: family,
+		Worker: worker, Kind: kind, StartNS: time.Since(t.epoch).Nanoseconds(), Item: -1, Family: family,
 	})
 }
 

@@ -48,8 +48,8 @@ func TestTimelineRecordsEngineWork(t *testing.T) {
 				if !ev.Kind.Instant() && ev.DurNS < 0 {
 					t.Fatalf("negative duration: %+v", ev)
 				}
-				if ev.Kind.Instant() && ev.DurNS != 0 {
-					t.Fatalf("instant with duration: %+v", ev)
+				if ev.Kind.Instant() && (ev.DurNS != 0 || ev.Item != -1) {
+					t.Fatalf("instant with a duration or an item: %+v", ev)
 				}
 			}
 			// Every work item got a slice, exactly once.
@@ -110,7 +110,7 @@ func TestTimelineCapacityDrops(t *testing.T) {
 func TestTimelineNilIsNoOp(t *testing.T) {
 	var tl *Timeline
 	tl.Slice(0, PhaseItem, tl.Start(), 0, "")
-	tl.Instant(0, PhaseCacheHit, 0, "")
+	tl.Instant(0, PhaseCacheHit, "")
 	if tl.Events() != nil || tl.Dropped() != 0 || tl.Len() != 0 {
 		t.Error("nil timeline not inert")
 	}

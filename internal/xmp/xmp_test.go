@@ -73,7 +73,13 @@ func TestTriadShapeMatchesPaper(t *testing.T) {
 func TestTriadQuietRecovers(t *testing.T) {
 	busy := TriadSweep(3, 512, true, cfg())
 	quiet := TriadSweep(3, 512, false, cfg())
+	if len(busy) != 3 || len(quiet) != 3 {
+		t.Fatalf("sweeps to INC=3 returned %d and %d results", len(busy), len(quiet))
+	}
 	for i := range quiet {
+		if busy[i].INC != i+1 || quiet[i].INC != i+1 {
+			t.Fatalf("result %d is INC %d/%d", i, busy[i].INC, quiet[i].INC)
+		}
 		if quiet[i].Simultaneous != 0 {
 			t.Errorf("INC=%d: simultaneous conflicts without another CPU", quiet[i].INC)
 		}

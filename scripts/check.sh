@@ -48,9 +48,10 @@ fi
 # a narrow run must not let an unrelated package rot.
 go vet ./...
 
-# docs step: every exported identifier in the audited packages must
-# carry a doc comment, and every relative Markdown link must resolve.
-go run ./internal/tools/docscheck \
+# docs step: every exported identifier in the audited packages (the
+# module root's facade among them) must carry a doc comment, and every
+# relative Markdown link must resolve.
+go run ./internal/tools/docscheck . \
 	internal/sweep internal/modmath internal/memsys internal/stats \
 	internal/obs internal/obs/profile internal/textplot \
 	internal/core internal/report internal/serve internal/cachestore
