@@ -53,7 +53,7 @@ func SteadyBandwidth(cfg MemConfig, maxClocks int64, specs ...StreamSpec) (Ratio
 // paper-style bank × clock diagram.
 func Timeline(cfg MemConfig, clocks int64, specs ...StreamSpec) string {
 	sys := memsys.New(cfg)
-	rec := trace.Attach(sys, 0, clocks)
+	rec := trace.Attach(sys, len(specs)*int(clocks))
 	for i, sp := range specs {
 		label := sp.Label
 		if label == "" {
@@ -63,7 +63,7 @@ func Timeline(cfg MemConfig, clocks int64, specs ...StreamSpec) string {
 	}
 	sys.Run(clocks)
 	if s := cfg.Sections; s != 0 && s != cfg.Banks {
-		return rec.RenderWithSections(sys.Section)
+		return rec.RenderWithSections(clocks, sys.Section)
 	}
-	return rec.Render()
+	return rec.Render(clocks)
 }

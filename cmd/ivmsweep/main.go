@@ -45,6 +45,7 @@ import (
 	"ivm/internal/obs"
 	"ivm/internal/obs/profile"
 	"ivm/internal/sweep"
+	"ivm/internal/trace"
 )
 
 func main() {
@@ -185,16 +186,15 @@ func main() {
 		fmt.Print(col.Report())
 	}
 
-	var traceStats *obs.TraceStats
+	var traceStats *trace.WindowStats
 	if *traceOut != "" || *csvOut != "" || *strip {
-		tr, err := traceOnePair(*m, *nc, *tracePair)
+		rec, err := traceOnePair(*m, *nc, *secs, priority, mapping, *tracePair)
 		if err != nil {
 			fail("%v", err)
 		}
-		events := tr.Events()
 		if *traceOut != "" {
 			if err := writeFile(*traceOut, func(w *os.File) error {
-				return obs.WriteChromeTrace(w, obs.SimTrack(events, *m, *nc), obs.WorkerTrack(timeline.Events()))
+				return obs.WriteChromeTrace(w, obs.SimTrack(rec), obs.WorkerTrack(timeline.Events()))
 			}); err != nil {
 				fail("%v", err)
 			}
@@ -204,21 +204,21 @@ func main() {
 		}
 		if *csvOut != "" {
 			if err := writeFile(*csvOut, func(w *os.File) error {
-				return obs.WriteCSV(w, events)
+				return trace.WriteCSV(w, rec)
 			}); err != nil {
 				fail("%v", err)
 			}
 		}
-		if d := tr.Stats().Dropped; d > 0 {
+		ws := rec.WindowStats()
+		if ws.Dropped > 0 {
 			fmt.Fprintf(os.Stderr,
-				"warning: trace ring wrapped, the exported window lost the oldest %d events\n", d)
+				"warning: trace window wrapped, the exported window lost the oldest %d events\n", ws.Dropped)
 		}
 		if *strip {
 			fmt.Println()
-			fmt.Print(obs.StripChart(events, *m, *nc))
+			fmt.Print(obs.StripChart(rec))
 		}
-		s := tr.Stats()
-		traceStats = &s
+		traceStats = &ws
 	}
 
 	if *metricsOut != "" {
@@ -409,24 +409,33 @@ func runSweeps(eng *sweep.Engine, m, nc, secs, streams int, triples, census, ful
 }
 
 // traceOnePair re-simulates one pair's steady-state search with a
-// tracer attached, so the exported trace shows the transient before
-// the streams synchronise into their cyclic state.
-func traceOnePair(m, nc int, spec string) (*obs.Tracer, error) {
-	d1, d2, b2, err := parsePairSpec(spec)
+// recorder attached, so the exported trace shows the transient before
+// the streams synchronise into their cyclic state. The pair is the
+// ConfigSpec the sweep resolves: the same memory shape, CPU layout,
+// priority rule and section mapping.
+func traceOnePair(m, nc, secs int, priority memsys.PriorityRule, mapping memsys.SectionMapping, pair string) (*trace.Recorder, error) {
+	d1, d2, b2, err := parsePairSpec(pair)
 	if err != nil {
 		return nil, err
 	}
-	sys := memsys.New(memsys.Config{Banks: m, BankBusy: nc, CPUs: 2})
-	tr := obs.Attach(sys, obs.TracerOptions{})
-	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, int64(d1)))
-	sys.AddPort(1, "2", memsys.NewInfiniteStrided(int64(b2), int64(d2)))
+	spec := sweep.PairSpec(m, nc, d1, d2)
+	if secs != 0 {
+		spec = sweep.SectionPairSpec(m, secs, nc, d1, d2)
+	}
+	spec = spec.WithPolicy(priority, mapping)
+	sys := memsys.New(spec.Config())
+	rec := trace.Attach(sys, trace.SearchWindow)
+	sys.AddStreams(
+		memsys.StreamSpec{Distance: d1, CPU: spec.Streams[0].CPU},
+		memsys.StreamSpec{Start: b2, Distance: d2, CPU: spec.Streams[1].CPU},
+	)
 	cyc, err := sys.FindCycle(1 << 22)
 	if err != nil {
-		return nil, fmt.Errorf("trace pair %s: %w", spec, err)
+		return nil, fmt.Errorf("trace pair %s: %w", pair, err)
 	}
 	fmt.Printf("\ntraced pair %d(+)%d from b2=%d: b_eff=%s (lead %d, cycle %d)\n",
 		d1, d2, b2, cyc.EffectiveBandwidth(), cyc.Lead, cyc.Length)
-	return tr, nil
+	return rec, nil
 }
 
 func parsePairSpec(spec string) (d1, d2, b2 int, err error) {

@@ -15,11 +15,11 @@ import (
 
 func run(m, nc, b1, d1, b2, d2 int) {
 	sys := memsys.New(memsys.Config{Banks: m, BankBusy: nc, CPUs: 2})
-	rec := trace.Attach(sys, 0, 36)
+	rec := trace.Attach(sys, 2*36) // two ports, one event each per clock
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(int64(b1), int64(d1)))
 	sys.AddPort(1, "2", memsys.NewInfiniteStrided(int64(b2), int64(d2)))
 	sys.Run(36)
-	fmt.Print(rec.Render())
+	fmt.Print(rec.Render(36))
 
 	sys2 := memsys.New(memsys.Config{Banks: m, BankBusy: nc, CPUs: 2})
 	sys2.AddPort(0, "1", memsys.NewInfiniteStrided(int64(b1), int64(d1)))

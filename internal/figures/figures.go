@@ -45,7 +45,7 @@ func (f Figure) Build() *memsys.System {
 // row showing which stream holds the highest priority each clock.
 func (f Figure) Timeline(clocks int64) string {
 	sys := f.Build()
-	rec := trace.Attach(sys, 0, clocks)
+	rec := trace.Attach(sys, len(f.Streams)*int(clocks))
 	sys.Run(clocks)
 	if f.Config.Sections != 0 && f.Config.Sections != f.Config.Banks {
 		holder := func(t int64) byte {
@@ -55,9 +55,9 @@ func (f Figure) Timeline(clocks int64) string {
 			}
 			return p.Label[0]
 		}
-		return rec.RenderWithPriority(sys.Section, holder)
+		return rec.RenderWithPriority(clocks, sys.Section, holder)
 	}
-	return rec.Render()
+	return rec.Render(clocks)
 }
 
 // SteadyBandwidth finds the cyclic state and returns its b_eff.

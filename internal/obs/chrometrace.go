@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"ivm/internal/sweep"
+	"ivm/internal/trace"
 )
 
 // Chrome trace_event export. A document holds any combination of three
@@ -84,7 +86,7 @@ func (l *lanes) instant(pid, tid int, cat, name string, ts int64, args map[strin
 // Track is one part of a Chrome trace document; build it with
 // SimTrack, WorkerTrack or RequestTrack.
 type Track struct {
-	render func(*lanes) error
+	render func(*lanes)
 }
 
 // WriteChromeTrace renders the tracks, in order, as one Chrome
@@ -94,46 +96,45 @@ type Track struct {
 func WriteChromeTrace(w io.Writer, tracks ...Track) error {
 	var l lanes
 	for _, t := range tracks {
-		if err := t.render(&l); err != nil {
-			return err
-		}
+		t.render(&l)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(chromeDoc{TraceEvents: l, DisplayTimeUnit: "ms"})
 }
 
-// SimTrack is the banks/ports track of a traced simulation window.
-// banks and bankBusy describe the simulated system (the bank busy time
-// is the duration painted for each grant); an empty window still gets
-// the process and bank thread metadata. Bad geometry fails the write.
-func SimTrack(events []Event, banks, bankBusy int) Track {
-	return Track{func(l *lanes) error {
-		if banks <= 0 || bankBusy <= 0 {
-			return fmt.Errorf("obs: bad chrome trace geometry banks=%d busy=%d", banks, bankBusy)
-		}
+// SimTrack is the banks/ports track of a recorder's event window: a
+// thread per bank, each grant a slice lasting the bank busy time, and a
+// thread per port seen, each delayed clock a one-clock slice. An empty
+// window still gets the process and bank thread metadata.
+func SimTrack(r *trace.Recorder) Track {
+	return Track{func(l *lanes) {
+		events := r.Events()
 		l.process(chromePidBanks, "banks")
 		l.process(chromePidPorts, "ports")
-		for b := 0; b < banks; b++ {
+		for b := 0; b < r.Banks(); b++ {
 			l.thread(chromePidBanks, b, fmt.Sprintf("bank %d", b))
 		}
-		for _, p := range portsOf(events) {
-			name := fmt.Sprintf("port %d", p.id)
-			if p.label != "" {
-				name = fmt.Sprintf("port %d (stream %s)", p.id, p.label)
+		for _, id := range portsOf(events) {
+			name := fmt.Sprintf("port %d", id)
+			if label := r.Label(id); label != "" {
+				name = fmt.Sprintf("port %d (stream %s)", id, label)
 			}
-			l.thread(chromePidPorts, p.id, name)
+			l.thread(chromePidPorts, int(id), name)
 		}
 		for _, e := range events {
 			if e.Granted() {
-				l.slice(chromePidBanks, e.Bank, "grant", "stream "+portName(e), e.Clock, int64(bankBusy),
+				name := r.Label(e.Port)
+				if name == "" {
+					name = fmt.Sprint(e.Port)
+				}
+				l.slice(chromePidBanks, int(e.Bank), "grant", "stream "+name, e.Clock, int64(r.BankBusy()),
 					map[string]any{"port": e.Port, "cpu": e.CPU})
 				continue
 			}
-			l.slice(chromePidPorts, e.Port, "delay", e.Kind.String()+" conflict", e.Clock, 1,
+			l.slice(chromePidPorts, int(e.Port), "delay", e.Kind.String()+" conflict", e.Clock, 1,
 				map[string]any{"bank": e.Bank, "blocker": e.Blocker})
 		}
-		return nil
 	}}
 }
 
@@ -141,7 +142,7 @@ func SimTrack(events []Event, banks, bankBusy int) Track {
 // (Timeline.Events or Snapshot.TimelineEvents). Timestamps are
 // nanoseconds mapped to the format's microseconds.
 func WorkerTrack(events []sweep.TimelineEvent) Track {
-	return Track{func(l *lanes) error {
+	return Track{func(l *lanes) {
 		l.process(chromePidWorkers, "sweep workers")
 		workers := map[int]bool{}
 		for _, e := range events {
@@ -172,7 +173,6 @@ func WorkerTrack(events []sweep.TimelineEvent) Track {
 				l.slice(chromePidWorkers, e.Worker, "sweep", e.Kind.String(), e.StartNS/1000, e.DurNS/1000, args)
 			}
 		}
-		return nil
 	}}
 }
 
@@ -192,7 +192,7 @@ type RequestTrace struct {
 // request (named by its ID), holding the request slice and its span
 // children.
 func RequestTrack(reqs []RequestTrace) Track {
-	return Track{func(l *lanes) error {
+	return Track{func(l *lanes) {
 		l.process(chromePidRequests, "requests")
 		for tid, r := range reqs {
 			l.thread(chromePidRequests, tid, "req "+r.ID)
@@ -203,68 +203,19 @@ func RequestTrack(reqs []RequestTrace) Track {
 					map[string]any{"id": r.ID})
 			}
 		}
-		return nil
 	}}
 }
 
-func portName(e Event) string {
-	if e.Label != "" {
-		return e.Label
-	}
-	return fmt.Sprintf("%d", e.Port)
-}
-
-type portInfo struct {
-	id    int
-	label string
-}
-
 // portsOf lists the distinct ports appearing in the events, by ID.
-func portsOf(events []Event) []portInfo {
-	seen := make(map[int]string)
+func portsOf(events []trace.Event) []int32 {
+	seen := make(map[int32]bool)
 	for _, e := range events {
-		seen[e.Port] = e.Label
+		seen[e.Port] = true
 	}
-	out := make([]portInfo, 0, len(seen))
-	for id, label := range seen {
-		out = append(out, portInfo{id: id, label: label})
+	out := make([]int32, 0, len(seen))
+	for id := range seen {
+		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	slices.Sort(out)
 	return out
-}
-
-// csvHeader is the column row shared by the ring exporter (WriteCSV)
-// and the streaming exporter (CSVStream) — the two must stay
-// byte-identical on any window they both cover.
-const csvHeader = "clock,port,label,cpu,bank,kind,blocker"
-
-// writeCSVRow formats one event as a timeline row. Grants carry kind
-// "grant" and an empty blocker column.
-func writeCSVRow(w io.Writer, e Event) error {
-	kind, blocker := "grant", ""
-	if !e.Granted() {
-		kind = e.Kind.String()
-		blocker = fmt.Sprintf("%d", e.Blocker)
-	}
-	_, err := fmt.Fprintf(w, "%d,%d,%s,%d,%d,%s,%s\n",
-		e.Clock, e.Port, e.Label, e.CPU, e.Bank, kind, blocker)
-	return err
-}
-
-// WriteCSV renders the events as a CSV timeline with one row per
-// event: clock, port, label, cpu, bank, kind, blocker. It exports the
-// window the ring retained: on a run longer than the tracer's
-// capacity the oldest events are gone (TraceStats.Dropped counts
-// them), so the first row marks the truncation boundary, not the
-// start of the run — CSVStream is the lossless alternative.
-func WriteCSV(w io.Writer, events []Event) error {
-	if _, err := fmt.Fprintln(w, csvHeader); err != nil {
-		return err
-	}
-	for _, e := range events {
-		if err := writeCSVRow(w, e); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ivm/internal/memsys"
+	"ivm/internal/trace"
 )
 
 // Regenerate the goldens with:
@@ -22,18 +23,23 @@ var update = flag.Bool("update", false, "rewrite the exporter golden files")
 // (Fig. 2), but from b2=0 both streams start on bank 0, so the window
 // shows the transient — a delay, then the streams locking into the
 // conflict-free cycle.
-func theorem3Example(t *testing.T) []Event {
+func theorem3Example(t *testing.T) *trace.Recorder {
 	t.Helper()
 	sys := memsys.New(memsys.Config{Banks: 12, BankBusy: 3, CPUs: 2})
-	tr := Attach(sys, TracerOptions{})
+	rec := trace.Attach(sys, 2*36)
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
 	sys.AddPort(1, "2", memsys.NewInfiniteStrided(0, 7))
 	sys.Run(36)
-	events := tr.Events()
-	if tr.Delays() == 0 {
+	if rec.WindowStats().Delays == 0 {
 		t.Fatal("example should show a synchronisation transient")
 	}
-	return events
+	return rec
+}
+
+// emptyWindow is a recorder for m banks of busy time nc that saw
+// nothing run.
+func emptyWindow(m, nc int) *trace.Recorder {
+	return trace.Attach(memsys.New(memsys.Config{Banks: m, BankBusy: nc}), 8)
 }
 
 func golden(t *testing.T, name string, got []byte) {
@@ -58,9 +64,8 @@ func golden(t *testing.T, name string, got []byte) {
 }
 
 func TestExporterGoldenChromeTrace(t *testing.T) {
-	events := theorem3Example(t)
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, SimTrack(events, 12, 3)); err != nil {
+	if err := WriteChromeTrace(&buf, SimTrack(theorem3Example(t))); err != nil {
 		t.Fatal(err)
 	}
 	golden(t, "chrometrace.json", buf.Bytes())
@@ -94,8 +99,7 @@ func TestExporterGoldenChromeTrace(t *testing.T) {
 }
 
 func TestExporterGoldenStripChart(t *testing.T) {
-	events := theorem3Example(t)
-	got := StripChart(events, 12, 3)
+	got := StripChart(theorem3Example(t))
 	golden(t, "strip.txt", []byte(got))
 	if !strings.Contains(got, "bank occupancy") || !strings.Contains(got, "grants") {
 		t.Errorf("strip chart missing sections:\n%s", got)
@@ -103,17 +107,17 @@ func TestExporterGoldenStripChart(t *testing.T) {
 }
 
 func TestCSVTimeline(t *testing.T) {
-	events := theorem3Example(t)
+	rec := theorem3Example(t)
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, events); err != nil {
+	if err := trace.WriteCSV(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if lines[0] != "clock,port,label,cpu,bank,kind,blocker" {
 		t.Fatalf("bad header %q", lines[0])
 	}
-	if len(lines) != len(events)+1 {
-		t.Fatalf("%d rows for %d events", len(lines)-1, len(events))
+	if len(lines) != len(rec.Events())+1 {
+		t.Fatalf("%d rows for %d events", len(lines)-1, len(rec.Events()))
 	}
 	var sawGrant, sawDelay bool
 	for _, l := range lines[1:] {
@@ -142,16 +146,16 @@ func TestCSVTimeline(t *testing.T) {
 }
 
 func TestStripChartEmptyWindow(t *testing.T) {
-	if got := StripChart(nil, 4, 2); !strings.Contains(got, "no events") {
+	if got := StripChart(emptyWindow(4, 2)); !strings.Contains(got, "no events") {
 		t.Errorf("empty window rendered %q", got)
 	}
 }
 
 func TestChromeTraceEmptyWindow(t *testing.T) {
-	// An empty window (tracer attached but nothing ran) must still
+	// An empty window (recorder attached but nothing ran) must still
 	// produce a loadable document: process/bank metadata, no slices.
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, SimTrack(nil, 4, 2)); err != nil {
+	if err := WriteChromeTrace(&buf, SimTrack(emptyWindow(4, 2))); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -172,7 +176,7 @@ func TestChromeTraceEmptyWindow(t *testing.T) {
 
 func TestWriteCSVEmptyWindow(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, nil); err != nil {
+	if err := trace.WriteCSV(&buf, emptyWindow(4, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != "clock,port,label,cpu,bank,kind,blocker\n" {
@@ -181,29 +185,29 @@ func TestWriteCSVEmptyWindow(t *testing.T) {
 }
 
 // TestCSVRingWrappedBeforeExport pins the documented truncation
-// boundary of the ring exporter: once the ring wraps, WriteCSV holds
-// exactly the newest capacity rows, the first row is NOT the start of
-// the run, and TraceStats.Dropped accounts for the missing prefix —
-// the lossless alternative is CSVStream (see stream_test.go).
+// boundary of the window export: once the window wraps, WriteCSV holds
+// exactly the newest window rows, the first row is NOT the start of
+// the run, and WindowStats.Dropped accounts for the missing prefix —
+// the lossless alternative is Recorder.StreamCSV.
 func TestCSVRingWrappedBeforeExport(t *testing.T) {
 	sys := memsys.New(memsys.Config{Banks: 12, BankBusy: 3, CPUs: 2})
-	tr := Attach(sys, TracerOptions{Capacity: 32})
+	rec := trace.Attach(sys, 32)
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
 	sys.AddPort(1, "2", memsys.NewInfiniteStrided(0, 7))
 	sys.Run(256) // 2 events per clock >> 32
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tr.Events()); err != nil {
+	if err := trace.WriteCSV(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(lines) != 32+1 {
-		t.Fatalf("wrapped ring exported %d rows, want capacity 32", len(lines)-1)
+		t.Fatalf("wrapped window exported %d rows, want its size 32", len(lines)-1)
 	}
 	firstClock := strings.SplitN(lines[1], ",", 2)[0]
 	if firstClock == "0" {
 		t.Error("export starts at clock 0 despite the wrap")
 	}
-	st := tr.Stats()
+	st := rec.WindowStats()
 	if st.Dropped != st.Grants+st.Delays-32 {
 		t.Errorf("dropped %d of %d events, ring holds 32", st.Dropped, st.Grants+st.Delays)
 	}

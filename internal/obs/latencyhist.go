@@ -37,7 +37,7 @@ const (
 // LatencyHist is a concurrency-safe log2 latency histogram. The zero
 // value is ready to use; all methods are safe for concurrent use and
 // nil-safe (a detached nil histogram observes nothing and allocates
-// nothing, mirroring the detached tracer).
+// nothing, like a detached simulator listener).
 type LatencyHist struct {
 	buckets [latencyBucketCount]atomic.Int64
 	count   atomic.Int64

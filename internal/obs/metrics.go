@@ -11,8 +11,8 @@ import (
 	"os"
 	"sync"
 
-	"ivm/internal/stats"
 	"ivm/internal/sweep"
+	"ivm/internal/trace"
 )
 
 // Snapshot is the one-shot metrics document the CLIs write with
@@ -22,10 +22,10 @@ type Snapshot struct {
 	// Engine holds the parallel sweep engine's counters: cache hit
 	// rate, per-worker utilisation, steady-state detection latency.
 	Engine *sweep.Snapshot `json:"engine,omitempty"`
-	// Stats holds a stats.Collector's per-bank view of one simulation.
-	Stats *stats.Snapshot `json:"stats,omitempty"`
-	// Trace holds the tracer's exact totals for the traced window.
-	Trace *TraceStats `json:"trace,omitempty"`
+	// Stats holds a recorder's per-bank counts of one simulation.
+	Stats *trace.Snapshot `json:"stats,omitempty"`
+	// Trace holds a recorder's totals and event-window state.
+	Trace *trace.WindowStats `json:"trace,omitempty"`
 	// PhaseHistogram holds the per-cycle conflict phase histogram of a
 	// traced steady state (ivmsim -phase-hist). Readers built before
 	// this field existed ignore it: ReadSnapshot skips unknown keys.
@@ -86,7 +86,7 @@ func NewRegistry() *Registry {
 
 // Register adds (or replaces) a named metrics source. The function is
 // called on every poll and must be safe to call concurrently with the
-// instrumented work — engine and tracer snapshots are.
+// instrumented work — engine snapshots are.
 func (r *Registry) Register(name string, source func() any) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

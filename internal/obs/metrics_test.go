@@ -12,8 +12,8 @@ import (
 	"testing"
 
 	"ivm/internal/memsys"
-	"ivm/internal/stats"
 	"ivm/internal/sweep"
+	"ivm/internal/trace"
 )
 
 // populatedSnapshot builds a snapshot with all three sources filled
@@ -26,18 +26,11 @@ func populatedSnapshot(t *testing.T) Snapshot {
 	es := eng.Snapshot()
 
 	sys := memsys.New(memsys.Config{Banks: 13, BankBusy: 6, CPUs: 2})
-	col := stats.Attach(sys)
+	rec := trace.Attach(sys, 128)
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
 	sys.AddPort(1, "2", memsys.NewInfiniteStrided(0, 6))
 	sys.Run(128)
-	cs := col.Snapshot()
-
-	sys2 := memsys.New(memsys.Config{Banks: 13, BankBusy: 6, CPUs: 2})
-	tr := Attach(sys2, TracerOptions{Capacity: 128})
-	sys2.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
-	sys2.AddPort(1, "2", memsys.NewInfiniteStrided(0, 6))
-	sys2.Run(128)
-	ts := tr.Stats()
+	cs, ts := rec.Snapshot(), rec.WindowStats()
 
 	h, _, err := TracePhaseHistogram(fig3Cfg, fig3Specs, 1<<20)
 	if err != nil {
@@ -139,9 +132,9 @@ func TestOldReaderSkipsPhaseHistogram(t *testing.T) {
 	}
 	// The pre-histogram Snapshot shape.
 	var old struct {
-		Engine *sweep.Snapshot `json:"engine,omitempty"`
-		Stats  *stats.Snapshot `json:"stats,omitempty"`
-		Trace  *TraceStats     `json:"trace,omitempty"`
+		Engine *sweep.Snapshot    `json:"engine,omitempty"`
+		Stats  *trace.Snapshot    `json:"stats,omitempty"`
+		Trace  *trace.WindowStats `json:"trace,omitempty"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &old); err != nil {
 		t.Fatalf("old reader choked on a new snapshot: %v", err)

@@ -5,14 +5,14 @@ import (
 	"time"
 
 	"ivm/internal/memsys"
+	"ivm/internal/trace"
 )
 
 // The observability layer must be free when not attached: the
-// simulator's hot loop with a nil listener (or a tracer that exists
-// but is not installed) allocates nothing and constructs no events.
-// The companion benchmarks quantify the "<2% versus seed" budget —
-// the detached path is the seed path, byte for byte — and the
-// attached cost.
+// simulator's hot loop with a nil listener (or after a recorder is
+// detached) allocates nothing and constructs no events. The companion
+// benchmarks quantify the "<2% versus seed" budget — the detached path
+// is the seed path, byte for byte — and the attached cost.
 
 func contendedSystem() *memsys.System {
 	sys := memsys.New(memsys.Config{Banks: 16, Sections: 4, BankBusy: 4, CPUs: 2})
@@ -25,19 +25,18 @@ func contendedSystem() *memsys.System {
 
 func TestDetachedTracerAllocatesNothing(t *testing.T) {
 	sys := contendedSystem()
-	_ = NewTracer(TracerOptions{Capacity: 1024}) // exists, never installed
-	sys.Run(64)                                  // warm up past the transient
+	sys.Run(64) // warm up past the transient
 	if allocs := testing.AllocsPerRun(200, func() { sys.Step() }); allocs != 0 {
-		t.Errorf("hot loop with detached tracer allocates %.1f objects/step, want 0", allocs)
+		t.Errorf("hot loop with no listener allocates %.1f objects/step, want 0", allocs)
 	}
 }
 
 func TestAttachThenDetachRestoresZeroAllocs(t *testing.T) {
 	sys := contendedSystem()
-	tr := Attach(sys, TracerOptions{Capacity: 1024})
+	rec := trace.Attach(sys, 1024)
 	sys.Run(64)
-	if tr.Grants() == 0 {
-		t.Fatal("tracer observed nothing while attached")
+	if rec.Snapshot().Grants == 0 {
+		t.Fatal("recorder observed nothing while attached")
 	}
 	sys.SetListener(nil)
 	if allocs := testing.AllocsPerRun(200, func() { sys.Step() }); allocs != 0 {
@@ -76,7 +75,7 @@ func TestDetachedTracerOverheadGuard(t *testing.T) {
 }
 
 // BenchmarkStepDetached is the seed-equivalent hot loop: no listener
-// installed. Compare against BenchmarkStepTracerAttached to bound the
+// installed. Compare against BenchmarkStepRecorderAttached to bound the
 // observability overhead (acceptance: detached within 2% of seed —
 // the detached code path is unchanged from the seed).
 func BenchmarkStepDetached(b *testing.B) {
@@ -88,11 +87,11 @@ func BenchmarkStepDetached(b *testing.B) {
 	}
 }
 
-// BenchmarkStepTracerAttached measures the full tracer on the same
-// loop: atomic counters plus ring writes every clock.
-func BenchmarkStepTracerAttached(b *testing.B) {
+// BenchmarkStepRecorderAttached measures a recorder on the same loop:
+// exact counts plus a window write every event.
+func BenchmarkStepRecorderAttached(b *testing.B) {
 	sys := contendedSystem()
-	Attach(sys, TracerOptions{Capacity: 1 << 12})
+	trace.Attach(sys, 1<<12)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -100,11 +99,11 @@ func BenchmarkStepTracerAttached(b *testing.B) {
 	}
 }
 
-// BenchmarkStepTracerSampled measures the tracer with 1-in-64
-// sampling: counters stay exact, ring writes become rare.
-func BenchmarkStepTracerSampled(b *testing.B) {
+// BenchmarkStepCountsAttached measures a counts-only recorder, the
+// sweep's CollectStats view.
+func BenchmarkStepCountsAttached(b *testing.B) {
 	sys := contendedSystem()
-	Attach(sys, TracerOptions{Capacity: 1 << 12, SampleEvery: 64})
+	trace.Attach(sys, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,6 +7,7 @@ import (
 
 	"ivm/internal/memsys"
 	"ivm/internal/textplot"
+	"ivm/internal/trace"
 )
 
 // Per-cycle conflict phase histograms: once FindCycle has located the
@@ -55,15 +56,15 @@ type PhaseHistogram struct {
 	BankDelays [][]int64 `json:"bank_delays"`
 }
 
-// BuildPhaseHistogram bins events into the cycle phases of a steady
-// state with period cycleLength whose phase 0 falls on absolute clock
-// cycleStart (trace start + FindCycle's lead). Events before
-// cycleStart are counted as LeadEvents and otherwise ignored. It
-// panics on non-positive geometry (programming error, matching the
-// other exporters).
-func BuildPhaseHistogram(events []Event, banks int, cycleStart, cycleLength int64) PhaseHistogram {
-	if banks <= 0 || cycleLength <= 0 {
-		panic(fmt.Sprintf("obs: bad phase histogram geometry banks=%d cycle=%d", banks, cycleLength))
+// BuildPhaseHistogram bins a recorder's event window into the cycle
+// phases of a steady state with period cycleLength whose phase 0 falls
+// on absolute clock cycleStart (trace start + FindCycle's lead). Events
+// before cycleStart are counted as LeadEvents and otherwise ignored. It
+// panics on a non-positive cycle length (a programming error).
+func BuildPhaseHistogram(r *trace.Recorder, cycleStart, cycleLength int64) PhaseHistogram {
+	banks := r.Banks()
+	if cycleLength <= 0 {
+		panic(fmt.Sprintf("obs: bad phase histogram cycle length %d", cycleLength))
 	}
 	h := PhaseHistogram{
 		CycleStart:  cycleStart,
@@ -77,7 +78,7 @@ func BuildPhaseHistogram(events []Event, banks int, cycleStart, cycleLength int6
 		h.BankGrants[p] = make([]int64, banks)
 		h.BankDelays[p] = make([]int64, banks)
 	}
-	for _, e := range events {
+	for _, e := range r.Events() {
 		if e.Clock < cycleStart {
 			h.LeadEvents++
 			continue
@@ -103,28 +104,28 @@ func BuildPhaseHistogram(events []Event, banks int, cycleStart, cycleLength int6
 }
 
 // TracePhaseHistogram runs steady-state detection on a freshly built
-// system with a tracer attached and returns the cycle together with
-// its phase histogram — the one-call path ivmsim and ivmreport use.
-// The system must contain only infinite strided streams (FindCycle's
-// requirement). The tracer runs at the default ring capacity, which
-// holds the whole search on paper-sized systems; on longer searches
-// the ring keeps the most recent window, which still covers the
-// cyclic regime (the phases fold onto the same histogram wherever the
-// window starts inside the steady state).
+// system with a recorder attached and returns the cycle together with
+// its phase histogram: the one call that gives ivmsim and ivmreport
+// both. The system must contain only infinite strided streams
+// (FindCycle's requirement). The recorder keeps trace.SearchWindow
+// events, which hold the whole search on paper-sized systems; on
+// longer searches the window keeps the most recent events, which still
+// cover the cyclic regime (the phases fold onto the same histogram
+// wherever the window starts inside the steady state).
 func TracePhaseHistogram(cfg memsys.Config, specs []memsys.StreamSpec, maxClocks int64) (PhaseHistogram, memsys.Cycle, error) {
 	sys := memsys.New(cfg)
-	tr := Attach(sys, TracerOptions{})
+	rec := trace.Attach(sys, trace.SearchWindow)
 	sys.AddStreams(specs...)
 	cyc, err := sys.FindCycle(maxClocks)
 	if err != nil {
 		return PhaseHistogram{}, memsys.Cycle{}, fmt.Errorf("obs: phase histogram: %w", err)
 	}
-	return BuildPhaseHistogram(tr.Events(), cfg.Banks, cyc.Lead, cyc.Length), cyc, nil
+	return BuildPhaseHistogram(rec, cyc.Lead, cyc.Length), cyc, nil
 }
 
-// Totals sums the histogram over all phases, the per-run view the
-// pre-histogram tracer reported; on a trace that covers whole cycle
-// repetitions these match the tracer's cyclic-regime counters.
+// Totals sums the histogram over all phases; on a window that covers
+// whole cycle repetitions these match the cycle's per-period counters
+// times the repetitions.
 func (h PhaseHistogram) Totals() PhaseCounts {
 	var t PhaseCounts
 	for _, p := range h.Phases {

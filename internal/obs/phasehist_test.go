@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ivm/internal/memsys"
+	"ivm/internal/trace"
 )
 
 // fig3Specs is the Fig. 3 barrier (m=13, nc=6, d1=1, d2=6) as stream
@@ -82,19 +83,19 @@ func TestPhaseHistogramSectionKinds(t *testing.T) {
 }
 
 func TestPhaseHistogramFoldsRepetitions(t *testing.T) {
-	// Run several repetitions through a plain tracer; every repetition
+	// Run several repetitions through a plain recorder; every repetition
 	// folds onto the same phases, so the histogram is k × one period.
 	sys := memsys.New(fig3Cfg)
-	tr := Attach(sys, TracerOptions{})
+	rec := trace.Attach(sys, trace.SearchWindow)
 	sys.AddStreams(fig3Specs...)
 	cyc, err := sys.FindCycle(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := BuildPhaseHistogram(tr.Events(), fig3Cfg.Banks, cyc.Lead, cyc.Length)
+	one := BuildPhaseHistogram(rec, cyc.Lead, cyc.Length)
 	const reps = 5
-	sys.Run(cyc.Length * (reps - 1)) // tracer keeps observing
-	many := BuildPhaseHistogram(tr.Events(), fig3Cfg.Banks, cyc.Lead, cyc.Length)
+	sys.Run(cyc.Length * (reps - 1)) // the recorder keeps observing
+	many := BuildPhaseHistogram(rec, cyc.Lead, cyc.Length)
 	for p := range many.Phases {
 		if many.Phases[p].Grants != reps*one.Phases[p].Grants ||
 			many.Phases[p].Bank != reps*one.Phases[p].Bank {
@@ -140,5 +141,5 @@ func TestPhaseHistogramBadGeometryPanics(t *testing.T) {
 			t.Fatal("zero cycle length did not panic")
 		}
 	}()
-	BuildPhaseHistogram(nil, 4, 0, 0)
+	BuildPhaseHistogram(emptyWindow(4, 2), 0, 0)
 }

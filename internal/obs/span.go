@@ -9,7 +9,7 @@ package obs
 // into the Chrome-trace writer as the "requests" process
 // (RequestTrack) and into the slog access log. A nil TraceContext
 // is fully detached: every method is a no-op that allocates nothing,
-// the same zero-cost contract as the detached tracer and timeline.
+// the same zero-cost contract as the detached timeline.
 
 import (
 	"sync"

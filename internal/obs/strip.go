@@ -5,18 +5,17 @@ import (
 	"strings"
 
 	"ivm/internal/textplot"
+	"ivm/internal/trace"
 )
 
-// StripChart renders the traced window as a plain-text bank-occupancy
-// strip: one bar per bank showing the fraction of observed clocks the
-// bank spent servicing a grant (each grant occupies its bank for
-// bankBusy clocks, clipped to the window), followed by the conflict
-// totals of the window. Deterministic output, suitable for golden
-// files.
-func StripChart(events []Event, banks, bankBusy int) string {
-	if banks <= 0 || bankBusy <= 0 {
-		panic(fmt.Sprintf("obs: bad strip chart geometry banks=%d busy=%d", banks, bankBusy))
-	}
+// StripChart renders a recorder's event window as a plain-text
+// bank-occupancy strip: one bar per bank showing the fraction of the
+// window's clocks the bank spent servicing a grant (each grant occupies
+// its bank for the bank busy time, clipped to the window), followed by
+// the conflict totals of the window. Deterministic output, suitable for
+// golden files.
+func StripChart(r *trace.Recorder) string {
+	events, banks, bankBusy := r.Events(), r.Banks(), r.BankBusy()
 	if len(events) == 0 {
 		return "bank occupancy: no events\n"
 	}

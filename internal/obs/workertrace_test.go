@@ -35,7 +35,7 @@ func TestWorkerTraceGolden(t *testing.T) {
 
 func TestCombinedTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, SimTrack(theorem3Example(t), 12, 3), WorkerTrack(syntheticTimeline())); err != nil {
+	if err := WriteChromeTrace(&buf, SimTrack(theorem3Example(t)), WorkerTrack(syntheticTimeline())); err != nil {
 		t.Fatal(err)
 	}
 	golden(t, "combinedtrace.json", buf.Bytes())
@@ -121,12 +121,8 @@ func TestCombinedTraceHalves(t *testing.T) {
 	}
 	// Sim-only: the sim track plus the (empty) worker process metadata.
 	buf.Reset()
-	if err := WriteChromeTrace(&buf, SimTrack(theorem3Example(t), 12, 3), WorkerTrack(nil)); err != nil {
+	if err := WriteChromeTrace(&buf, SimTrack(theorem3Example(t)), WorkerTrack(nil)); err != nil {
 		t.Fatal(err)
 	}
 	parseTrace(t, buf.Bytes())
-	// Bad sim geometry still fails fast.
-	if err := WriteChromeTrace(&buf, SimTrack(theorem3Example(t), 0, 0), WorkerTrack(nil)); err == nil {
-		t.Error("bad geometry accepted")
-	}
 }

@@ -170,8 +170,8 @@ func TestEngineCollectStats(t *testing.T) {
 	if col == nil {
 		t.Fatal("CollectStats set but Stats() is nil")
 	}
-	if col.TotalGrants() == 0 || col.ObservedClocks() == 0 {
-		t.Fatal("merged collector is empty")
+	if s := col.Snapshot(); s.Grants == 0 || s.ObservedClocks == 0 {
+		t.Fatal("merged recorder is empty")
 	}
 	// Without the option no collector is built.
 	plain := NewEngine(Options{Workers: 2})

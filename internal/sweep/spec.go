@@ -215,9 +215,10 @@ func NStreamSpec(m, nc int, d []int) ConfigSpec {
 
 // --- Simulation ---------------------------------------------------------
 
-// specConfig derives the memory-system configuration: the spec's
-// memory shape plus one CPU per distinct issuing CPU index.
-func specConfig(spec ConfigSpec) memsys.Config {
+// Config derives the memory-system configuration the spec is simulated
+// on: its memory shape and policy, plus one CPU per distinct issuing
+// CPU index.
+func (spec ConfigSpec) Config() memsys.Config {
 	cpus := 1
 	for _, st := range spec.Streams {
 		if st.CPU+1 > cpus {

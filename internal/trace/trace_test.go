@@ -7,66 +7,97 @@ import (
 	"ivm/internal/memsys"
 )
 
+// cellRows splits a rendered diagram into its rows of cells, dropping
+// the "section - bank" prefixes.
+func cellRows(out string) []string {
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	for i, l := range lines {
+		lines[i] = l[strings.LastIndex(l, " ")+1:]
+	}
+	return lines
+}
+
+// countMarks counts each cell byte over a rendered diagram.
+func countMarks(out string) map[byte]int {
+	counts := make(map[byte]int)
+	for _, row := range cellRows(out) {
+		for i := 0; i < len(row); i++ {
+			counts[row[i]]++
+		}
+	}
+	return counts
+}
+
 func TestRecorderSingleStream(t *testing.T) {
 	sys := memsys.New(memsys.Config{Banks: 4, BankBusy: 2, CPUs: 1})
-	rec := Attach(sys, 0, 8)
+	rec := Attach(sys, 8)
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
 	sys.Run(8)
 	// d=1, nc=2: bank 0 serviced at clocks 0-1, 4-5; bank 1 at 1-2, 5-6...
-	if got := rec.Row(0); got != "11..11.." {
-		t.Errorf("Row(0) = %q", got)
+	rows := cellRows(rec.Render(8))
+	if rows[0] != "11..11.." {
+		t.Errorf("row 0 = %q", rows[0])
 	}
-	if got := rec.Row(1); got != ".11..11." {
-		t.Errorf("Row(1) = %q", got)
+	if rows[1] != ".11..11." {
+		t.Errorf("row 1 = %q", rows[1])
 	}
-	if got := rec.Row(3); got != "...11..1" {
-		t.Errorf("Row(3) = %q", got)
+	if rows[3] != "...11..1" {
+		t.Errorf("row 3 = %q", rows[3])
 	}
 }
 
 func TestRecorderDelayMarkers(t *testing.T) {
-	// Self-conflicting stream: m=4, d=2, nc=4 -> revisits bank 0 after
-	// 2 clocks and waits 2 clocks ('<' marks are not used for
-	// single-stream bank conflicts against itself... the blocker is the
-	// same port, so the mark is '<' with equal labels).
 	sys := memsys.New(memsys.Config{Banks: 4, BankBusy: 4, CPUs: 2})
-	rec := Attach(sys, 0, 12)
+	rec := Attach(sys, 2*12)
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
 	sys.AddPort(1, "2", memsys.NewInfiniteStrided(0, 1))
 	sys.Run(12)
 	// Port 2 is blocked at bank 0 by port 1 (simultaneous conflict at
 	// clock 0, bank conflicts after): '<' because blocker label 1 < 2.
-	row0 := rec.Row(0)
-	if !strings.Contains(row0, "<") {
-		t.Errorf("Row(0) = %q, expected '<' delay marks", row0)
+	out := rec.Render(12)
+	if row0 := cellRows(out)[0]; !strings.Contains(row0, "<") {
+		t.Errorf("row 0 = %q, expected '<' delay marks", row0)
 	}
-	marks := rec.CountMarks()
+	marks := countMarks(out)
 	if marks['<'] == 0 {
-		t.Errorf("CountMarks = %v, expected '<'", marks)
+		t.Errorf("marks = %v, expected '<'", marks)
 	}
 	if marks['*'] != 0 {
-		t.Errorf("CountMarks = %v, no section conflicts expected", marks)
+		t.Errorf("marks = %v, no section conflicts expected", marks)
+	}
+}
+
+// The marker orientation follows the labels, not the port order: with
+// the labels swapped the same delays read '>'.
+func TestRecorderMarkerFollowsLabels(t *testing.T) {
+	sys := memsys.New(memsys.Config{Banks: 4, BankBusy: 4, CPUs: 2})
+	rec := Attach(sys, 2*12)
+	sys.AddPort(0, "2", memsys.NewInfiniteStrided(0, 1))
+	sys.AddPort(1, "1", memsys.NewInfiniteStrided(0, 1))
+	sys.Run(12)
+	marks := countMarks(rec.Render(12))
+	if marks['>'] == 0 || marks['<'] != 0 {
+		t.Errorf("marks = %v, expected only '>' delays", marks)
 	}
 }
 
 func TestRecorderSectionMarker(t *testing.T) {
 	sys := memsys.New(memsys.Config{Banks: 8, Sections: 2, BankBusy: 2, CPUs: 1})
-	rec := Attach(sys, 0, 6)
+	rec := Attach(sys, 2*6)
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1)) // bank 0, section 0
 	sys.AddPort(0, "2", memsys.NewInfiniteStrided(2, 1)) // bank 2, section 0
 	sys.Run(6)
-	marks := rec.CountMarks()
-	if marks['*'] == 0 {
-		t.Errorf("CountMarks = %v, expected '*' section-conflict marks", marks)
+	if marks := countMarks(rec.Render(6)); marks['*'] == 0 {
+		t.Errorf("marks = %v, expected '*' section-conflict marks", marks)
 	}
 }
 
 func TestRenderShape(t *testing.T) {
 	sys := memsys.New(memsys.Config{Banks: 3, BankBusy: 1, CPUs: 1})
-	rec := Attach(sys, 0, 5)
+	rec := Attach(sys, 5)
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
 	sys.Run(5)
-	out := rec.Render()
+	out := rec.Render(5)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("Render produced %d lines, want 3:\n%s", len(lines), out)
@@ -84,10 +115,10 @@ func TestRenderShape(t *testing.T) {
 
 func TestRenderWithSections(t *testing.T) {
 	sys := memsys.New(memsys.Config{Banks: 4, Sections: 2, BankBusy: 1, CPUs: 1})
-	rec := Attach(sys, 0, 4)
+	rec := Attach(sys, 4)
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
 	sys.Run(4)
-	out := rec.RenderWithSections(sys.Section)
+	out := rec.RenderWithSections(4, sys.Section)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("got %d lines", len(lines))
@@ -100,34 +131,43 @@ func TestRenderWithSections(t *testing.T) {
 	}
 }
 
+// The diagram clips at both window edges: service that runs past the
+// last rendered clock is cut, and clocks whose events the window no
+// longer holds read as idle.
 func TestWindowClipping(t *testing.T) {
-	sys := memsys.New(memsys.Config{Banks: 4, BankBusy: 3, CPUs: 1})
-	rec := Attach(sys, 2, 6) // only clocks [2, 6)
-	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
-	sys.Run(8)
-	// Bank 0 is serviced clocks 0-2 and 4-6; visible: clock 2 tail of
-	// the first service and clocks 4-5 of the second.
-	if got := rec.Row(0); got != "1.11" {
-		t.Errorf("Row(0) = %q", got)
+	run := func(window int) string {
+		sys := memsys.New(memsys.Config{Banks: 4, BankBusy: 3, CPUs: 1})
+		rec := Attach(sys, window)
+		sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
+		sys.Run(8)
+		return cellRows(rec.Render(6))[0]
+	}
+	// Bank 0 is serviced clocks 0-2 and 4-6; 6 clocks show 0-2 and 4-5.
+	if got := run(8); got != "111.11" {
+		t.Errorf("whole run: row 0 = %q", got)
+	}
+	// A window of the last 4 events (clocks 4-7) loses the first grant.
+	if got := run(4); got != "....11" {
+		t.Errorf("clipped window: row 0 = %q", got)
 	}
 }
 
 func TestNewRecorderValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("bad window did not panic")
+			t.Fatal("negative window did not panic")
 		}
 	}()
-	NewRecorder(4, 2, 10, 5)
+	Attach(memsys.New(memsys.Config{Banks: 4, BankBusy: 2}), -1)
 }
 
 func TestRenderWithPriority(t *testing.T) {
 	sys := memsys.New(memsys.Config{Banks: 4, Sections: 2, BankBusy: 1, CPUs: 1, Priority: memsys.CyclicPriority})
-	rec := Attach(sys, 0, 6)
+	rec := Attach(sys, 2*6)
 	sys.AddPort(0, "1", memsys.NewInfiniteStrided(0, 1))
 	sys.AddPort(0, "2", memsys.NewInfiniteStrided(1, 1))
 	sys.Run(6)
-	out := rec.RenderWithPriority(sys.Section, func(t int64) byte {
+	out := rec.RenderWithPriority(6, sys.Section, func(t int64) byte {
 		p := sys.PriorityHolderAt(t)
 		return p.Label[0]
 	})
