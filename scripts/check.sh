@@ -3,8 +3,8 @@
 # race-enabled tests.
 # Pass package patterns to narrow the test run (default: everything).
 # The observability package is always exercised under the race
-# detector, even for narrowed runs, because its tracer counters are
-# read across goroutines. The simulator and sweep packages are always
+# detector, even for narrowed runs, because its progress tracker,
+# latency histograms and metrics registry are read across goroutines. The simulator and sweep packages are always
 # exercised under the race detector too, including a short pass over
 # the differential equivalence harness (docs/KERNEL.md) that pins the
 # packed kernel and the analytic gate to the scalar oracle with the
@@ -23,11 +23,11 @@
 # request-duration histogram (docs/SERVING.md).
 #
 # Golden files: the exporter tests in internal/obs (every Test*Golden*:
-# the Chrome trace tracks, the strip chart and the phase histogram)
-# compare against testdata/; after an intentional output change,
-# regenerate with
+# the Chrome trace tracks, the strip chart and the phase histogram) and
+# the whole-run tests of cmd/ivmsim and cmd/ivmsweep compare against
+# testdata/; after an intentional output change, regenerate with
 #
-#	go test ./internal/obs -run Golden -update
+#	go test ./internal/obs ./cmd/ivmsim ./cmd/ivmsweep -run Golden -update
 #
 # and review the testdata diff before committing.
 set -euo pipefail
@@ -52,7 +52,7 @@ go vet ./...
 # module root's facade among them) must carry a doc comment, and every
 # relative Markdown link must resolve.
 go run ./internal/tools/docscheck . \
-	internal/sweep internal/modmath internal/memsys internal/stats \
+	internal/sweep internal/modmath internal/memsys internal/trace \
 	internal/obs internal/obs/profile internal/textplot \
 	internal/core internal/report internal/serve internal/cachestore
 
